@@ -166,7 +166,11 @@ impl<P, M: Metric<P>> EngineIndex<P, M> {
     }
 }
 
-impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for EngineIndex<P, M> {
+impl<P, M> SweepSearch<P, M> for EngineIndex<P, M>
+where
+    P: Sync + AsRef<[f64]>,
+    M: Metric<P> + Metric<[f64]> + Sync,
+{
     fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
         beam_search_detailed(self.engine.graph(), data, self.entry, q, ef, k)
     }

@@ -19,7 +19,11 @@
 //!    `S` smaller ones.
 //! 3. **Search frontier.** For each shard count it walks the `ef` axis on
 //!    the sampled queries and reports recall, mean dist comps/query, and
-//!    q/s — scored against **sampled ground truth**
+//!    q/s. Searches are counted under the build's `Counting` metric, then
+//!    timed on the same shards under plain `Euclidean`
+//!    (`ShardedEngine::map_metric`), asserting equal `dist_comps`, so the
+//!    q/s column does not measure the counter's atomic contention. Scored
+//!    against **sampled ground truth**
 //!    (`GroundTruth::compute_or_load_sampled`, cached under
 //!    `target/gt-cache/` keyed by the sample-aware fingerprint), because
 //!    full ground truth at `n = 10^6` would cost `n · m` ≈ 10^9 distance
@@ -244,10 +248,32 @@ fn main() {
             seconds
         );
 
-        for &ef in &efs {
+        // Count each ef's search cost under the build's `Counting` metric,
+        // then time the same shards under plain `Euclidean`: the wrapper's
+        // shared atomic counter would otherwise put cross-worker contention
+        // into the q/s column.
+        let counted: Vec<u64> = efs
+            .iter()
+            .map(|&ef| {
+                counting.reset();
+                let batch = engine.batch_beam_detailed(&sampled, ef, k);
+                assert_eq!(
+                    counting.count(),
+                    batch.dist_comps,
+                    "Counting missed a search"
+                );
+                batch.dist_comps
+            })
+            .collect();
+        let engine = engine.map_metric(Euclidean);
+        for (&ef, &counted_comps) in efs.iter().zip(&counted) {
             let t0 = Instant::now();
             let batch = engine.batch_beam_detailed(&sampled, ef, k);
             let elapsed = t0.elapsed().as_secs_f64();
+            assert_eq!(
+                batch.dist_comps, counted_comps,
+                "dropping the Counting wrapper changed the search at ef = {ef}"
+            );
             let score = sweep.score_outcomes(&truth, &batch.outcomes);
             if ef == ef_ref {
                 build_rows.push(BuildRow {

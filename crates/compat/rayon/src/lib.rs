@@ -14,6 +14,8 @@
 //!
 //! * [`par_map`] / [`par_map_indexed`] / [`par_map_range`] — order-preserving
 //!   parallel maps (`par_iter().map().collect()` morally);
+//! * [`par_map_indexed_init_with`] — the same map with per-worker state
+//!   (`map_init` morally), for reusable scratch memory;
 //! * [`par_chunks`] — parallel map over contiguous chunks, results in chunk
 //!   order;
 //! * [`scope`] / [`Scope::spawn`] — structured fork/join on borrowed data;
@@ -163,24 +165,59 @@ where
     par_map_indexed_with(current_num_threads(), &chunks, |_, c| f(c))
 }
 
-/// [`par_map_indexed`] with an explicit worker count — the primitive every
-/// other helper lowers to.
-///
-/// Work-stealing-lite: the input is cut into blocks of roughly
-/// `len / (4 * threads)` items and workers claim blocks from a shared atomic
-/// cursor, so an unlucky worker stuck on an expensive block does not serialize
-/// the rest. Each block remembers its start offset and the blocks are
-/// reassembled in input order, making the output independent of scheduling.
+/// [`par_map_indexed`] with an explicit worker count: the stateless case of
+/// [`par_map_indexed_init_with`].
 pub fn par_map_indexed_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    par_map_indexed_init_with(threads, items, || (), |(), i, t| f(i, t))
+}
+
+/// [`par_map_indexed_with`] with per-worker mutable state — the primitive
+/// every other helper lowers to. `init` builds one state per worker and `f`
+/// receives it with every item that worker maps, so scratch memory (a
+/// search's visited marks and heaps, say) is allocated once per worker
+/// instead of once per item.
+///
+/// `init` runs lazily, when a worker claims its first block: exactly once
+/// on the sequential path (one thread or one item), at most
+/// `min(threads, items.len())` times in total, and never for an empty
+/// input. Which items share a state depends on scheduling, so `f`'s result
+/// must not depend on what earlier items left in the state; the output
+/// order never depends on scheduling.
+///
+/// Work-stealing-lite: the input is cut into blocks of roughly
+/// `len / (4 * threads)` items and workers claim blocks from a shared atomic
+/// cursor, so an unlucky worker stuck on an expensive block does not serialize
+/// the rest. Each block remembers its start offset and the blocks are
+/// reassembled in input order, making the output independent of scheduling.
+pub fn par_map_indexed_init_with<T, S, U, I, F>(
+    threads: usize,
+    items: &[T],
+    init: I,
+    f: F,
+) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> U + Sync,
+{
     let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = threads.max(1).min(n);
+    if threads == 1 {
+        let mut state = init();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(&mut state, i, t))
+            .collect();
     }
 
     let block = n.div_ceil(threads * 4).max(1);
@@ -190,19 +227,21 @@ where
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let cursor = &cursor;
-            let f = &f;
+            let (init, f) = (&init, &f);
             handles.push(s.spawn(move || {
                 let mut local: Vec<(usize, Vec<U>)> = Vec::new();
+                let mut state: Option<S> = None;
                 loop {
                     let start = cursor.fetch_add(block, Ordering::Relaxed);
                     if start >= n {
                         break;
                     }
+                    let state = state.get_or_insert_with(init);
                     let end = (start + block).min(n);
                     let results = items[start..end]
                         .iter()
                         .enumerate()
-                        .map(|(j, t)| f(start + j, t))
+                        .map(|(j, t)| f(state, start + j, t))
                         .collect();
                     local.push((start, results));
                 }
@@ -210,8 +249,8 @@ where
             }));
         }
         for h in handles {
-            // A panic in `f` propagates to the caller with its original
-            // payload, exactly as it would from a plain sequential map.
+            // A panic in `init` or `f` propagates to the caller with its
+            // original payload, exactly as it would from a sequential map.
             match h.join() {
                 Ok(local) => parts.extend(local),
                 Err(payload) => std::panic::resume_unwind(payload),
@@ -346,6 +385,104 @@ mod tests {
         assert_eq!(threads_from_env(Some("0")), None);
         assert_eq!(threads_from_env(Some("4")), Some(4));
         assert_eq!(threads_from_env(Some(" 12 ")), Some(12));
+    }
+
+    /// Maps `0..n` with a per-worker item counter as the state: each output
+    /// is how many items its worker had mapped before it. Returns the
+    /// outputs and how often `init` ran.
+    fn counted_init_map(threads: usize, n: usize) -> (Vec<(u64, usize)>, usize) {
+        let inits = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..n as u64).collect();
+        let out = par_map_indexed_init_with(
+            threads,
+            &items,
+            || {
+                inits.fetch_add(1, Ordering::SeqCst);
+                0usize
+            },
+            |seen, i, &x| {
+                assert_eq!(i as u64, x, "index and item disagree");
+                let before = *seen;
+                *seen += 1;
+                (x * x + 1, before)
+            },
+        );
+        (out, inits.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn init_map_preserves_order_for_every_thread_count() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let expect: Vec<u64> = (0..997u64).map(|x| x * x + 1).collect();
+        for threads in [1, 2, 3, machine + 3] {
+            let (out, _) = counted_init_map(threads, 997);
+            let values: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, expect, "ordering broke at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn init_runs_once_per_working_thread_at_most() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for threads in [1, 2, 3, machine + 3] {
+            for n in [1, 2, 5, 64, 997] {
+                let (_, inits) = counted_init_map(threads, n);
+                assert!(inits >= 1, "no state built for {n} items");
+                assert!(
+                    inits <= threads.min(n),
+                    "{inits} inits for {n} items on {threads} threads"
+                );
+            }
+        }
+        // The sequential path builds exactly one state, whatever the input.
+        for n in [1, 2, 997] {
+            assert_eq!(counted_init_map(1, n).1, 1);
+        }
+        assert_eq!(counted_init_map(4, 1).1, 1, "one item runs sequentially");
+        // An empty input builds none.
+        assert_eq!(counted_init_map(4, 0), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn init_state_carries_over_between_items_of_a_worker() {
+        // Sequential: one state sees every item, in order.
+        let (out, _) = counted_init_map(1, 50);
+        let seen: Vec<usize> = out.iter().map(|&(_, s)| s).collect();
+        assert_eq!(seen, (0..50).collect::<Vec<_>>());
+        // Parallel: every state starts at zero exactly once, and some worker
+        // mapped at least its share of the items on one state.
+        for threads in [2, 3] {
+            let (out, inits) = counted_init_map(threads, 997);
+            let fresh = out.iter().filter(|&&(_, s)| s == 0).count();
+            assert_eq!(fresh, inits, "each state is built once");
+            let longest = out.iter().map(|&(_, s)| s).max().unwrap_or(0);
+            assert!(longest + 1 >= 997 / inits, "state was not reused");
+        }
+    }
+
+    #[test]
+    fn init_map_worker_panic_propagates_with_original_payload() {
+        let items: Vec<u32> = (0..64).collect();
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                let _ =
+                    par_map_indexed_init_with(threads, &items, Vec::<u32>::new, |seen, _, &x| {
+                        seen.push(x);
+                        assert!(x < 60, "planted init-map failure");
+                        x
+                    });
+            });
+            let payload = caught.expect_err("planted panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("planted init-map failure"),
+                "payload lost at {threads} threads: {msg:?}"
+            );
+        }
     }
 
     #[test]

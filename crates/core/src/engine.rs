@@ -79,9 +79,7 @@
 use pg_metric::{CompactPoints, Dataset, Metric, QuantKind, Quantized};
 
 use crate::graph::Graph;
-use crate::search::{
-    beam_search_detailed, beam_search_quantized, query, BeamOutcome, GreedyOutcome,
-};
+use crate::search::{query, BeamOutcome, BeamSurrogate, GreedyOutcome, SearchScratch};
 
 /// The result of a [`QueryEngine::batch_greedy`] / [`QueryEngine::batch_query`]
 /// call: per-query outcomes in input order plus the aggregated distance count.
@@ -115,6 +113,27 @@ pub struct BatchBeamDetail {
     /// Total distance computations across the batch (the sum of the
     /// per-outcome `dist_comps`).
     pub dist_comps: u64,
+}
+
+impl From<Vec<BeamOutcome>> for BatchBeamDetail {
+    /// Wraps per-query outcomes, summing the batch distance total.
+    fn from(outcomes: Vec<BeamOutcome>) -> Self {
+        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
+        BatchBeamDetail {
+            outcomes,
+            dist_comps,
+        }
+    }
+}
+
+impl From<BatchBeamDetail> for BatchBeamOutcome {
+    /// Drops the per-query accounting, keeping result lists and the total.
+    fn from(detail: BatchBeamDetail) -> Self {
+        BatchBeamOutcome {
+            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
+            dist_comps: detail.dist_comps,
+        }
+    }
 }
 
 /// A batched query executor owning a routable index: a [`Graph`] over a
@@ -171,6 +190,18 @@ impl<P, M: Metric<P>> QueryEngine<P, M> {
         &self.data
     }
 
+    /// Swaps the metric, keeping graph, points and thread count — mirrors
+    /// [`Dataset::map_metric`]. The graph stays meaningful only if `metric`
+    /// orders points exactly as the old one did (e.g. dropping a `Counting`
+    /// wrapper).
+    pub fn map_metric<M2: Metric<P>>(self, metric: M2) -> QueryEngine<P, M2> {
+        QueryEngine {
+            graph: self.graph,
+            data: self.data.map_metric(metric),
+            threads: self.threads,
+        }
+    }
+
     /// Consumes the engine, handing back the graph and dataset.
     pub fn into_parts(self) -> (Graph, Dataset<P, M>) {
         (self.graph, self.data)
@@ -205,6 +236,35 @@ impl<P: Sync, M: Metric<P> + Sync> QueryEngine<P, M> {
         }
     }
 
+    /// The batch loop both beam paths share: `search` runs once per
+    /// `(start, query)` pair on its pool worker's scratch, and the
+    /// surrogate results are mapped to true distances.
+    fn batch_beam_with(
+        &self,
+        starts: &[u32],
+        queries: &[P],
+        search: impl Fn(&mut SearchScratch, u32, &P) -> BeamSurrogate + Sync,
+    ) -> BatchBeamDetail {
+        assert_eq!(
+            starts.len(),
+            queries.len(),
+            "one start vertex per query required"
+        );
+        let outcomes = rayon::par_map_indexed_init_with(
+            self.threads,
+            queries,
+            SearchScratch::default,
+            |scratch, i, q| search(scratch, starts[i], q).into_outcome(&self.data),
+        );
+        BatchBeamDetail::from(outcomes)
+    }
+}
+
+impl<P, M> QueryEngine<P, M>
+where
+    P: Sync + AsRef<[f64]>,
+    M: Metric<P> + Metric<[f64]> + Sync,
+{
     /// Runs [`beam_search`](crate::search::beam_search) (width `ef`, top
     /// `k`) for every `(start, query)` pair, sharded across the pool. Result
     /// `i` is exactly `beam_search(graph, data, starts[i], &queries[i], ef,
@@ -217,19 +277,17 @@ impl<P: Sync, M: Metric<P> + Sync> QueryEngine<P, M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamOutcome {
-        let detail = self.batch_beam_detailed(starts, queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
-        }
+        self.batch_beam_detailed(starts, queries, ef, k).into()
     }
 
-    /// Runs [`beam_search_detailed`] for every `(start, query)` pair,
+    /// Runs [`beam_search_detailed`](crate::search::beam_search_detailed)
+    /// for every `(start, query)` pair,
     /// sharded across the pool: outcome `i` is exactly
     /// `beam_search_detailed(graph, data, starts[i], &queries[i], ef, k)`,
     /// carrying that query's own `dist_comps` and `expansions` — the
     /// per-query detail evaluation sweeps (`pg_eval`) score from, with the
-    /// batch total still aggregated on the side.
+    /// batch total still aggregated on the side. Each pool worker reuses one
+    /// [`SearchScratch`] for all its queries.
     pub fn batch_beam_detailed(
         &self,
         starts: &[u32],
@@ -237,19 +295,9 @@ impl<P: Sync, M: Metric<P> + Sync> QueryEngine<P, M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamDetail {
-        assert_eq!(
-            starts.len(),
-            queries.len(),
-            "one start vertex per query required"
-        );
-        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |i, q| {
-            beam_search_detailed(&self.graph, &self.data, starts[i], q, ef, k)
-        });
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
-        BatchBeamDetail {
-            outcomes,
-            dist_comps,
-        }
+        self.batch_beam_with(starts, queries, |scratch, start, q| {
+            scratch.beam_search_surrogate(&self.graph, &self.data, start, q, ef, k)
+        })
     }
 }
 
@@ -264,7 +312,7 @@ impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> QueryEngine<P, M> {
         CompactPoints::from_rows(kind, &rows)
     }
 
-    /// Runs [`beam_search_quantized`]
+    /// Runs [`beam_search_quantized`](crate::search::beam_search_quantized)
     /// for every `(start, query)` pair, sharded across the pool: the walk
     /// navigates in `compact`'s surrogate space and every candidate set is
     /// re-ranked with exact `f64` distances before truncation. Outcome `i`
@@ -282,19 +330,11 @@ impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> QueryEngine<P, M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamDetail {
-        assert_eq!(
-            starts.len(),
-            queries.len(),
-            "one start vertex per query required"
-        );
-        let outcomes = rayon::par_map_indexed_with(self.threads, queries, |i, q| {
-            beam_search_quantized(&self.graph, &self.data, compact, starts[i], q, ef, k)
-        });
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
-        BatchBeamDetail {
-            outcomes,
-            dist_comps,
-        }
+        self.batch_beam_with(starts, queries, |scratch, start, q| {
+            scratch
+                .beam_search_quantized_surrogate(&self.graph, &self.data, compact, start, q, ef, k)
+                .into()
+        })
     }
 
     /// [`QueryEngine::batch_beam_quantized_detailed`] without the per-query
@@ -307,11 +347,8 @@ impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> QueryEngine<P, M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamOutcome {
-        let detail = self.batch_beam_quantized_detailed(compact, starts, queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
-        }
+        self.batch_beam_quantized_detailed(compact, starts, queries, ef, k)
+            .into()
     }
 }
 
@@ -319,7 +356,7 @@ impl<P: Sync + AsRef<[f64]>, M: Metric<P> + Sync> QueryEngine<P, M> {
 mod tests {
     use super::*;
     use crate::gnet::GNet;
-    use crate::search::greedy;
+    use crate::search::{beam_search_detailed, greedy};
     use pg_metric::{Counting, Euclidean};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};

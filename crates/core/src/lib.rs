@@ -78,7 +78,7 @@ pub use reorder::{bfs_degree_order, mean_edge_gap, Reordering};
 pub use search::{
     beam_search, beam_search_detailed, beam_search_quantized, beam_search_quantized_surrogate,
     beam_search_surrogate, greedy, query, BeamOutcome, BeamSurrogate, GreedyOutcome,
-    QuantBeamSurrogate,
+    QuantBeamSurrogate, SearchScratch,
 };
 pub use sharded::{ShardAssignment, ShardedEngine};
 pub use snapshot::{AnyEngine, SnapshotMetric};

@@ -1,6 +1,9 @@
 //! Routing over proximity graphs: the `greedy` procedure of Section 1.1,
 //! its budgeted `query` wrapper, and beam search as a practical extension.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use pg_metric::{Dataset, Metric, Quantized};
 
 use crate::graph::Graph;
@@ -201,19 +204,7 @@ pub fn beam_search_detailed<P, M: Metric<P>>(
     ef: usize,
     k: usize,
 ) -> BeamOutcome {
-    let BeamSurrogate {
-        mut results,
-        dist_comps,
-        expansions,
-    } = beam_search_surrogate(graph, data, p_start, q, ef, k);
-    for e in &mut results {
-        e.1 = data.dist_from_surrogate(e.1);
-    }
-    BeamOutcome {
-        results,
-        dist_comps,
-        expansions,
-    }
+    beam_search_surrogate(graph, data, p_start, q, ef, k).into_outcome(data)
 }
 
 /// The result of one [`beam_search_surrogate`] call: the same walk as
@@ -240,11 +231,45 @@ pub struct BeamSurrogate {
     pub expansions: u64,
 }
 
+impl BeamSurrogate {
+    /// Sorts the results by `(surrogate, id)` and keeps the first `k`.
+    pub(crate) fn top(mut self, k: usize) -> Self {
+        self.results
+            .sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        self.results.truncate(k);
+        self
+    }
+
+    /// Maps the surrogate keys to true distances with `data`'s metric.
+    pub(crate) fn into_outcome<P, M: Metric<P>>(mut self, data: &Dataset<P, M>) -> BeamOutcome {
+        for e in &mut self.results {
+            e.1 = data.dist_from_surrogate(e.1);
+        }
+        BeamOutcome {
+            results: self.results,
+            dist_comps: self.dist_comps,
+            expansions: self.expansions,
+        }
+    }
+}
+
+impl From<QuantBeamSurrogate> for BeamSurrogate {
+    /// Drops the re-ranked candidate count: the keys are already exact.
+    fn from(q: QuantBeamSurrogate) -> Self {
+        BeamSurrogate {
+            results: q.results,
+            dist_comps: q.dist_comps,
+            expansions: q.expansions,
+        }
+    }
+}
+
 /// The surrogate-space core of [`beam_search_detailed`]: identical walk,
 /// identical accounting, but the `(id, surrogate)` result list is returned
 /// before the final map to true distances (see [`BeamSurrogate`] for why a
 /// sharded merge needs exactly this form). [`beam_search_detailed`] is this
-/// plus one `dist_from_surrogate` per result.
+/// plus one `dist_from_surrogate` per result. Batch callers reuse memory
+/// through [`SearchScratch::beam_search_surrogate`].
 pub fn beam_search_surrogate<P, M: Metric<P>>(
     graph: &Graph,
     data: &Dataset<P, M>,
@@ -253,71 +278,9 @@ pub fn beam_search_surrogate<P, M: Metric<P>>(
     ef: usize,
     k: usize,
 ) -> BeamSurrogate {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Cand(f64, u32);
-    impl Eq for Cand {}
-    impl PartialOrd for Cand {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Cand {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    assert!(ef >= 1);
-    let mut comps: u64 = 0;
-    let mut expansions: u64 = 0;
-    let mut visited = vec![false; data.len()];
-    visited[p_start as usize] = true;
-    comps += 1;
-    let d0 = data.surrogate_to(p_start as usize, q);
-
-    // `frontier`: min-heap of candidates to expand; `results`: max-heap of
-    // the best `ef` seen. `worst` mirrors `results.peek()` and is refreshed
-    // only when the heap changes, instead of re-peeking per neighbor.
-    let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-    let mut results: BinaryHeap<Cand> = BinaryHeap::new();
-    frontier.push(Reverse(Cand(d0, p_start)));
-    results.push(Cand(d0, p_start));
-    let mut worst = d0;
-
-    while let Some(Reverse(Cand(d, v))) = frontier.pop() {
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        for &nb in graph.neighbors(v) {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            comps += 1;
-            let dn = data.surrogate_to(nb as usize, q);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(Cand(dn, nb)));
-                results.push(Cand(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-                worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            }
-        }
-    }
-
-    let mut out: Vec<(u32, f64)> = results.into_iter().map(|Cand(d, v)| (v, d)).collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    out.truncate(k);
-    BeamSurrogate {
-        results: out,
-        dist_comps: comps,
-        expansions,
-    }
+    SearchScratch::default()
+        .best_first(graph, p_start, ef, |v| data.surrogate_to(v as usize, q))
+        .top(k)
 }
 
 /// The result of one [`beam_search_quantized_surrogate`] call. The walk ran
@@ -349,7 +312,7 @@ pub struct QuantBeamSurrogate {
 /// re-rank before truncation: the quantized counterpart of
 /// [`beam_search_surrogate`].
 ///
-/// The walk is the same best-first loop, but every heap/cutoff comparison
+/// The walk is the same best-first kernel, but every heap/cutoff comparison
 /// uses `compact.surrogate(...)` — the approximate squared distance on the
 /// quantized codes — so the hot loop streams 4 bytes (`pg_metric::F32Points`)
 /// or 1 byte (`pg_metric::Sq8Points`) per coordinate instead of 8. When the
@@ -358,7 +321,8 @@ pub struct QuantBeamSurrogate {
 /// quantized order) is re-scored with exact surrogates from `data`, sorted
 /// by `(exact surrogate, id)`, and only then truncated to `k`. Quantization
 /// can thus only affect which candidates are gathered, never their reported
-/// order or values.
+/// order or values. Batch callers reuse memory through
+/// [`SearchScratch::beam_search_quantized_surrogate`].
 ///
 /// # Panics
 /// If `compact` does not describe exactly the points of `data` (length
@@ -377,84 +341,8 @@ where
     M: Metric<P>,
     C: Quantized + ?Sized,
 {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Cand(f64, u32);
-    impl Eq for Cand {}
-    impl PartialOrd for Cand {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Cand {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    assert!(ef >= 1);
-    assert_eq!(
-        compact.len(),
-        data.len(),
-        "compact store and dataset must describe the same points"
-    );
-    let pq = compact.prepare(q.as_ref());
-    let mut comps: u64 = 0;
-    let mut expansions: u64 = 0;
-    let mut visited = vec![false; data.len()];
-    visited[p_start as usize] = true;
-    comps += 1;
-    let d0 = compact.surrogate(p_start as usize, &pq);
-
-    let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-    let mut results: BinaryHeap<Cand> = BinaryHeap::new();
-    frontier.push(Reverse(Cand(d0, p_start)));
-    results.push(Cand(d0, p_start));
-    let mut worst = d0;
-
-    while let Some(Reverse(Cand(d, v))) = frontier.pop() {
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        for &nb in graph.neighbors(v) {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            comps += 1;
-            let dn = compact.surrogate(nb as usize, &pq);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(Cand(dn, nb)));
-                results.push(Cand(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-                worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            }
-        }
-    }
-
-    // Exact re-rank of the full candidate set: one full-precision surrogate
-    // per candidate, counted like any other distance computation.
-    let candidates = results.len();
-    let mut out: Vec<(u32, f64)> = results
-        .into_iter()
-        .map(|Cand(_, v)| {
-            comps += 1;
-            (v, data.surrogate_to(v as usize, q))
-        })
-        .collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    out.truncate(k);
-    QuantBeamSurrogate {
-        results: out,
-        candidates,
-        dist_comps: comps,
-        expansions,
-    }
+    SearchScratch::default()
+        .beam_search_quantized_surrogate(graph, data, compact, p_start, q, ef, k)
 }
 
 /// [`beam_search_quantized_surrogate`] with the exact surrogates mapped to
@@ -476,19 +364,190 @@ where
     M: Metric<P>,
     C: Quantized + ?Sized,
 {
-    let QuantBeamSurrogate {
-        mut results,
-        dist_comps,
-        expansions,
-        ..
-    } = beam_search_quantized_surrogate(graph, data, compact, p_start, q, ef, k);
-    for e in &mut results {
-        e.1 = data.dist_from_surrogate(e.1);
+    BeamSurrogate::from(beam_search_quantized_surrogate(
+        graph, data, compact, p_start, q, ef, k,
+    ))
+    .into_outcome(data)
+}
+
+/// A search candidate `(surrogate, id)`, ordered by surrogate with ties
+/// broken by id — a total order, so heap contents never depend on push
+/// order.
+#[derive(Debug, PartialEq)]
+struct Cand(f64, u32);
+
+impl Eq for Cand {}
+
+impl PartialOrd for Cand {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
-    BeamOutcome {
-        results,
-        dist_comps,
-        expansions,
+}
+
+impl Ord for Cand {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+/// The working memory of a best-first search — visited marks, the list of
+/// vertices marked, and the two heaps — owned by the caller so a batch
+/// reuses it across queries (one per pool worker).
+///
+/// A search starts by clearing only the marks the previous one set, by
+/// walking the touched list: O(vertices touched), not O(n). The marks grow
+/// to the largest graph searched, so one scratch serves graphs of any size
+/// in any order. A fresh scratch allocates the `n` one-byte marks on its
+/// first search, as a per-call `vec![false; n]` would.
+#[derive(Debug, Default)]
+pub struct SearchScratch {
+    visited: Vec<bool>,
+    touched: Vec<u32>,
+    frontier: BinaryHeap<Reverse<Cand>>,
+    results: BinaryHeap<Cand>,
+}
+
+impl SearchScratch {
+    /// [`beam_search_surrogate`] on this scratch, with identical results and
+    /// accounting. When `data` records contiguous rows
+    /// ([`Dataset::contiguous_rows`]), row `v` is read at offset `v · d` of
+    /// that buffer instead of through the point's handle.
+    pub fn beam_search_surrogate<P, M>(
+        &mut self,
+        graph: &Graph,
+        data: &Dataset<P, M>,
+        p_start: u32,
+        q: &P,
+        ef: usize,
+        k: usize,
+    ) -> BeamSurrogate
+    where
+        P: AsRef<[f64]>,
+        M: Metric<P> + Metric<[f64]>,
+    {
+        let walk = match data.contiguous_rows() {
+            Some((rows, d)) => {
+                let (metric, q) = (data.metric(), q.as_ref());
+                self.best_first(graph, p_start, ef, |v| {
+                    let at = v as usize * d;
+                    metric.surrogate(&rows[at..at + d], q)
+                })
+            }
+            None => self.best_first(graph, p_start, ef, |v| data.surrogate_to(v as usize, q)),
+        };
+        walk.top(k)
+    }
+
+    /// [`beam_search_quantized_surrogate`] on this scratch, with identical
+    /// results and accounting (and the same panics).
+    #[allow(clippy::too_many_arguments)]
+    pub fn beam_search_quantized_surrogate<P, M, C>(
+        &mut self,
+        graph: &Graph,
+        data: &Dataset<P, M>,
+        compact: &C,
+        p_start: u32,
+        q: &P,
+        ef: usize,
+        k: usize,
+    ) -> QuantBeamSurrogate
+    where
+        P: AsRef<[f64]>,
+        M: Metric<P>,
+        C: Quantized + ?Sized,
+    {
+        assert_eq!(
+            compact.len(),
+            data.len(),
+            "compact store and dataset must describe the same points"
+        );
+        let pq = compact.prepare(q.as_ref());
+        let mut walk = self.best_first(graph, p_start, ef, |v| compact.surrogate(v as usize, &pq));
+        // Exact re-rank of the full candidate set: one full-precision
+        // surrogate per candidate, counted like any other distance
+        // computation.
+        let candidates = walk.results.len();
+        for e in &mut walk.results {
+            e.1 = data.surrogate_to(e.0 as usize, q);
+        }
+        walk.dist_comps += candidates as u64;
+        let top = walk.top(k);
+        QuantBeamSurrogate {
+            results: top.results,
+            candidates,
+            dist_comps: top.dist_comps,
+            expansions: top.expansions,
+        }
+    }
+
+    /// The one best-first loop every beam search runs: a width-`ef`
+    /// frontier from `p_start`, comparing the surrogate keys `dist(v)`
+    /// returns, one call per newly visited vertex. Returns the best `ef`
+    /// candidates seen, unsorted, with the walk's accounting.
+    fn best_first(
+        &mut self,
+        graph: &Graph,
+        p_start: u32,
+        ef: usize,
+        mut dist: impl FnMut(u32) -> f64,
+    ) -> BeamSurrogate {
+        assert!(ef >= 1);
+        let SearchScratch {
+            visited,
+            touched,
+            frontier,
+            results,
+        } = self;
+        for v in touched.drain(..) {
+            visited[v as usize] = false;
+        }
+        if visited.len() < graph.n() {
+            visited.resize(graph.n(), false);
+        }
+        frontier.clear();
+        results.clear();
+
+        visited[p_start as usize] = true;
+        touched.push(p_start);
+        let mut comps: u64 = 1;
+        let mut expansions: u64 = 0;
+        let d0 = dist(p_start);
+
+        // `frontier`: min-heap of candidates to expand; `results`: max-heap of
+        // the best `ef` seen. `worst` mirrors `results.peek()` and is refreshed
+        // only when the heap changes, instead of re-peeking per neighbor.
+        frontier.push(Reverse(Cand(d0, p_start)));
+        results.push(Cand(d0, p_start));
+        let mut worst = d0;
+
+        while let Some(Reverse(Cand(d, v))) = frontier.pop() {
+            if results.len() >= ef && d > worst {
+                break;
+            }
+            expansions += 1;
+            for &nb in graph.neighbors(v) {
+                if visited[nb as usize] {
+                    continue;
+                }
+                visited[nb as usize] = true;
+                touched.push(nb);
+                comps += 1;
+                let dn = dist(nb);
+                if results.len() < ef || dn < worst {
+                    frontier.push(Reverse(Cand(dn, nb)));
+                    results.push(Cand(dn, nb));
+                    if results.len() > ef {
+                        results.pop();
+                    }
+                    worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
+                }
+            }
+        }
+        BeamSurrogate {
+            results: results.drain().map(|Cand(d, v)| (v, d)).collect(),
+            dist_comps: comps,
+            expansions,
+        }
     }
 }
 

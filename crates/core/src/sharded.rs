@@ -16,13 +16,14 @@
 //!   [`GNet`] + [`QueryEngine`] over a compact copy of
 //!   its points; shard-local ids are positions in the ascending global-id
 //!   list, so local id order agrees with global id order.
-//! * **Parallel search** — a batch fans out as a `(query × shard)` cross
-//!   product through the order-preserving pool
-//!   (`rayon::par_map_indexed_with`), so the schedule can never reorder
-//!   results.
+//! * **Parallel search** — a batch fans out as a shard-major `(shard ×
+//!   query)` cross product through the order-preserving pool
+//!   (`rayon::par_map_indexed_init_with`, one [`SearchScratch`] per
+//!   worker), so the schedule can never reorder results.
 //! * **Surrogate-space merge** — per-shard top-`k` lists come back still
-//!   in surrogate space ([`beam_search_surrogate`]) and are merged on the
-//!   key `(surrogate, global id)`, then mapped to true distances once.
+//!   in surrogate space ([`SearchScratch::beam_search_surrogate`]) and are
+//!   merged on the key `(surrogate, global id)`, then mapped to true
+//!   distances once.
 //!   Merging *after* the distance map would round away ties the surrogate
 //!   keys still distinguish; merging in surrogate space makes the result
 //!   list bit-identical across shard counts and thread counts.
@@ -83,7 +84,7 @@ use crate::engine::{BatchBeamDetail, BatchBeamOutcome, QueryEngine};
 use crate::gnet::GNet;
 use crate::graph::Graph;
 use crate::params::GNetParams;
-use crate::search::{beam_search_quantized_surrogate, beam_search_surrogate, BeamOutcome};
+use crate::search::{BeamOutcome, BeamSurrogate, SearchScratch};
 use crate::snapshot::SnapshotMetric;
 
 /// How points are assigned to shards. Every strategy is a pure function of
@@ -229,6 +230,27 @@ impl<M> ShardedEngine<M> {
         self.threads
     }
 
+    /// Swaps every shard's metric, keeping graphs, points, partition and
+    /// thread count: [`QueryEngine::map_metric`] per shard. Lets a caller
+    /// build under a `Counting` wrapper and then search without the
+    /// wrapper's shared atomic counter.
+    pub fn map_metric<M2: Metric<FlatRow> + Clone>(self, metric: M2) -> ShardedEngine<M2>
+    where
+        M: Metric<FlatRow>,
+    {
+        ShardedEngine {
+            shards: self
+                .shards
+                .into_iter()
+                .map(|shard| shard.map_metric(metric.clone()))
+                .collect(),
+            global_ids: self.global_ids,
+            build: self.build,
+            threads: self.threads,
+            n: self.n,
+        }
+    }
+
     /// Overrides the worker count (at least 1). Like
     /// [`QueryEngine::with_threads`], this changes only the wall clock:
     /// every batch result is independent of the thread count.
@@ -239,7 +261,7 @@ impl<M> ShardedEngine<M> {
     }
 }
 
-impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
+impl<M: Metric<FlatRow> + Metric<[f64]> + Sync> ShardedEngine<M> {
     /// Searches every query against every shard in parallel (width `ef`,
     /// top `k` per shard, each shard entered at its local vertex 0) and
     /// merges per-shard results on `(surrogate, global id)` — the
@@ -249,56 +271,16 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
     /// results are global ids with true distances, ascending by
     /// `(distance, id)` like every search routine in the workspace.
     pub fn batch_beam_detailed(&self, queries: &[FlatRow], ef: usize, k: usize) -> BatchBeamDetail {
-        let s = self.shards.len();
-        let pairs: Vec<(usize, usize)> = (0..queries.len())
-            .flat_map(|q| (0..s).map(move |i| (q, i)))
-            .collect();
-        let per_pair = rayon::par_map_indexed_with(self.threads, &pairs, |_, &(q, i)| {
+        self.fan_out(queries, k, |scratch, i, q| {
             let shard = &self.shards[i];
-            beam_search_surrogate(shard.graph(), shard.data(), 0, &queries[q], ef, k)
-        });
-        let outcomes: Vec<BeamOutcome> = (0..queries.len())
-            .map(|q| {
-                let mut merged: Vec<(u32, f64)> = Vec::with_capacity(s * k);
-                let mut dist_comps = 0u64;
-                let mut expansions = 0u64;
-                for i in 0..s {
-                    let out = &per_pair[q * s + i];
-                    dist_comps += out.dist_comps;
-                    expansions += out.expansions;
-                    for &(local, sur) in &out.results {
-                        merged.push((self.global_ids[i][local as usize], sur));
-                    }
-                }
-                merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                merged.truncate(k);
-                let data = self.shards[0].data();
-                let results = merged
-                    .into_iter()
-                    .map(|(id, sur)| (id, data.dist_from_surrogate(sur)))
-                    .collect();
-                BeamOutcome {
-                    results,
-                    dist_comps,
-                    expansions,
-                }
-            })
-            .collect();
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
-        BatchBeamDetail {
-            outcomes,
-            dist_comps,
-        }
+            scratch.beam_search_surrogate(shard.graph(), shard.data(), 0, q, ef, k)
+        })
     }
 
     /// [`ShardedEngine::batch_beam_detailed`] without the per-query
     /// accounting — result lists plus the batch distance total.
     pub fn batch_beam(&self, queries: &[FlatRow], ef: usize, k: usize) -> BatchBeamOutcome {
-        let detail = self.batch_beam_detailed(queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
-        }
+        self.batch_beam_detailed(queries, ef, k).into()
     }
 
     /// Encodes every shard's points into the compact representation `kind`,
@@ -313,8 +295,8 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
     /// The quantized counterpart of [`ShardedEngine::batch_beam_detailed`]:
     /// each `(query, shard)` pair navigates in that shard's compact store
     /// and re-ranks its candidate set with exact `f64` distances
-    /// ([`beam_search_quantized_surrogate`]). Because the per-shard result
-    /// keys are already **exact** surrogates after the re-rank, the merge
+    /// ([`SearchScratch::beam_search_quantized_surrogate`]). Because the
+    /// per-shard result keys are already **exact** surrogates after the re-rank, the merge
     /// is the very same `(surrogate, global id)` sort as the
     /// full-precision path — quantization changes what the walks gather,
     /// never the merge semantics — and at `ef >= n` the output is
@@ -330,55 +312,16 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamDetail {
-        let s = self.shards.len();
-        assert_eq!(compacts.len(), s, "one compact store per shard required");
-        let pairs: Vec<(usize, usize)> = (0..queries.len())
-            .flat_map(|q| (0..s).map(move |i| (q, i)))
-            .collect();
-        let per_pair = rayon::par_map_indexed_with(self.threads, &pairs, |_, &(q, i)| {
-            let shard = &self.shards[i];
-            beam_search_quantized_surrogate(
-                shard.graph(),
-                shard.data(),
-                &compacts[i],
-                0,
-                &queries[q],
-                ef,
-                k,
-            )
-        });
-        let outcomes: Vec<BeamOutcome> = (0..queries.len())
-            .map(|q| {
-                let mut merged: Vec<(u32, f64)> = Vec::with_capacity(s * k);
-                let mut dist_comps = 0u64;
-                let mut expansions = 0u64;
-                for i in 0..s {
-                    let out = &per_pair[q * s + i];
-                    dist_comps += out.dist_comps;
-                    expansions += out.expansions;
-                    for &(local, sur) in &out.results {
-                        merged.push((self.global_ids[i][local as usize], sur));
-                    }
-                }
-                merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                merged.truncate(k);
-                let data = self.shards[0].data();
-                let results = merged
-                    .into_iter()
-                    .map(|(id, sur)| (id, data.dist_from_surrogate(sur)))
-                    .collect();
-                BeamOutcome {
-                    results,
-                    dist_comps,
-                    expansions,
-                }
-            })
-            .collect();
-        let dist_comps = outcomes.iter().map(|o| o.dist_comps).sum();
-        BatchBeamDetail {
-            outcomes,
-            dist_comps,
-        }
+        assert_eq!(
+            compacts.len(),
+            self.shards.len(),
+            "one compact store per shard required"
+        );
+        self.fan_out(queries, k, |scratch, i, q| {
+            let (g, data) = (self.shards[i].graph(), self.shards[i].data());
+            let out = scratch.beam_search_quantized_surrogate(g, data, &compacts[i], 0, q, ef, k);
+            out.into()
+        })
     }
 
     /// [`ShardedEngine::batch_beam_quantized_detailed`] without the
@@ -390,14 +333,60 @@ impl<M: Metric<FlatRow> + Sync> ShardedEngine<M> {
         ef: usize,
         k: usize,
     ) -> BatchBeamOutcome {
-        let detail = self.batch_beam_quantized_detailed(compacts, queries, ef, k);
-        BatchBeamOutcome {
-            results: detail.outcomes.into_iter().map(|o| o.results).collect(),
-            dist_comps: detail.dist_comps,
+        self.batch_beam_quantized_detailed(compacts, queries, ef, k)
+            .into()
+    }
+
+    /// The fan-out both batch paths share: `search(scratch, shard, query)`
+    /// runs for every pair on the pool, one [`SearchScratch`] per worker,
+    /// then each query's per-shard lists are merged. Pairs are enumerated
+    /// **shard-major**, so the block of pairs a worker claims stays inside
+    /// one shard and its graph and points stay warm in cache; the pool
+    /// keeps input order, so the schedule cannot change an answer.
+    fn fan_out(
+        &self,
+        queries: &[FlatRow],
+        k: usize,
+        search: impl Fn(&mut SearchScratch, usize, &FlatRow) -> BeamSurrogate + Sync,
+    ) -> BatchBeamDetail {
+        let m = queries.len();
+        let pairs: Vec<(usize, usize)> = (0..self.shards.len())
+            .flat_map(|i| (0..m).map(move |q| (i, q)))
+            .collect();
+        let per_pair = rayon::par_map_indexed_init_with(
+            self.threads,
+            &pairs,
+            SearchScratch::default,
+            |scratch, _, &(i, q)| search(scratch, i, &queries[q]),
+        );
+        let outcomes: Vec<BeamOutcome> = (0..m)
+            .map(|q| self.merge(per_pair[q..].iter().step_by(m), k))
+            .collect();
+        outcomes.into()
+    }
+
+    /// Merges one query's per-shard lists (in shard order): local ids map
+    /// to global ids, the union is sorted by `(surrogate, global id)` and
+    /// truncated to `k`, and only then mapped to true distances.
+    fn merge<'a>(
+        &self,
+        per_shard: impl Iterator<Item = &'a BeamSurrogate>,
+        k: usize,
+    ) -> BeamOutcome {
+        let mut merged = BeamSurrogate {
+            results: Vec::with_capacity(self.shards.len() * k),
+            dist_comps: 0,
+            expansions: 0,
+        };
+        for (out, ids) in per_shard.zip(&self.global_ids) {
+            merged.dist_comps += out.dist_comps;
+            merged.expansions += out.expansions;
+            let global = out.results.iter().map(|&(l, sur)| (ids[l as usize], sur));
+            merged.results.extend(global);
         }
+        merged.top(k).into_outcome(self.shards[0].data())
     }
 }
-
 impl<M: Metric<FlatRow> + SnapshotMetric + Sync> ShardedEngine<M> {
     /// Saves the engine into directory `dir`: one `pg_store` snapshot per
     /// shard ([`shard_file_name`]), then the [`ShardManifest`]

@@ -1,5 +1,7 @@
 //! Id-addressed datasets: a point collection paired with a metric.
 
+use std::sync::Arc;
+
 use crate::metric::Metric;
 
 /// A finite set of data points `P` together with the metric of the ambient
@@ -13,6 +15,9 @@ use crate::metric::Metric;
 pub struct Dataset<P, M> {
     points: Vec<P>,
     metric: M,
+    /// The row-major buffer every point is a view into, and its row length,
+    /// when the dataset was built from one; see [`Dataset::contiguous_rows`].
+    rows: Option<(Arc<[f64]>, usize)>,
 }
 
 impl<P, M: Metric<P>> Dataset<P, M> {
@@ -31,7 +36,40 @@ impl<P, M: Metric<P>> Dataset<P, M> {
             !points.is_empty(),
             "dataset must contain at least one point"
         );
-        Dataset { points, metric }
+        Dataset {
+            points,
+            metric,
+            rows: None,
+        }
+    }
+
+    /// [`Dataset::new`] over points that are consecutive `dim`-long rows of
+    /// `buf` (`point(i)` is `buf[i * dim..(i + 1) * dim]`) — the
+    /// [`FlatPoints::into_dataset`](crate::FlatPoints::into_dataset) path.
+    pub(crate) fn with_contiguous_rows(
+        points: Vec<P>,
+        metric: M,
+        buf: Arc<[f64]>,
+        dim: usize,
+    ) -> Self {
+        assert_eq!(buf.len(), points.len() * dim, "row buffer size mismatch");
+        Dataset {
+            rows: Some((buf, dim)),
+            ..Dataset::new(points, metric)
+        }
+    }
+
+    /// The row-major `n × d` coordinate buffer behind the points, with `d`,
+    /// when the dataset was built by
+    /// [`FlatPoints::into_dataset`](crate::FlatPoints::into_dataset) (or a
+    /// snapshot load, which goes through it); `None` for any other
+    /// construction. Row `i`, `buf[i * d..(i + 1) * d]`, is exactly the
+    /// slice `point(i)` refers to, so a hot loop can read coordinates at a
+    /// computed offset instead of loading each point's handle first. The
+    /// layout is recorded at construction, so this costs nothing per call.
+    #[inline]
+    pub fn contiguous_rows(&self) -> Option<(&[f64], usize)> {
+        self.rows.as_ref().map(|(buf, dim)| (&buf[..], *dim))
     }
 
     /// Number of data points `n`.
@@ -162,6 +200,7 @@ impl<P, M: Metric<P>> Dataset<P, M> {
         Dataset {
             points: self.points,
             metric: m2,
+            rows: self.rows,
         }
     }
 }

@@ -175,6 +175,11 @@ impl FlatPoints {
     /// allocation — the point type for flat-backed [`Dataset`]s and query
     /// batches.
     pub fn into_rows(self) -> Vec<FlatRow> {
+        self.into_shared_rows().1
+    }
+
+    /// [`FlatPoints::into_rows`], also handing back the shared buffer.
+    fn into_shared_rows(self) -> (Arc<[f64]>, Vec<FlatRow>) {
         assert!(
             self.data.len() <= u32::MAX as usize,
             "flat buffer exceeds u32 addressing (4G coordinates)"
@@ -182,20 +187,24 @@ impl FlatPoints {
         let dim = self.dim;
         let n = self.len();
         let buf: Arc<[f64]> = self.data.into();
-        (0..n)
+        let rows = (0..n)
             .map(|i| FlatRow {
                 buf: Arc::clone(&buf),
                 start: (i * dim) as u32,
                 dim: dim as u32,
             })
-            .collect()
+            .collect();
+        (buf, rows)
     }
 
     /// Converts into a flat-backed dataset: `Dataset<FlatRow, M>` with all
-    /// coordinates in one contiguous allocation. Panics if empty, exactly
-    /// like [`Dataset::new`].
+    /// coordinates in one contiguous allocation, which the dataset records
+    /// ([`Dataset::contiguous_rows`]). Panics if empty, exactly like
+    /// [`Dataset::new`].
     pub fn into_dataset<M: Metric<FlatRow>>(self, metric: M) -> Dataset<FlatRow, M> {
-        Dataset::new(self.into_rows(), metric)
+        let dim = self.dim;
+        let (buf, rows) = self.into_shared_rows();
+        Dataset::with_contiguous_rows(rows, metric, buf, dim)
     }
 }
 
@@ -341,6 +350,36 @@ mod tests {
         assert!(Arc::ptr_eq(&rows[0].buf, &rows[1].buf));
         assert_eq!(rows[1].coords(), &[3.0, 4.0]);
         assert_eq!(rows[1].dim(), 2);
+    }
+
+    #[test]
+    fn flat_dataset_records_its_contiguous_rows() {
+        let fp = FlatPoints::from_fn(5, 3, |i, out| {
+            out.extend((0..3).map(|j| (i * 10 + j) as f64));
+        });
+        let nested = Dataset::new(fp.to_nested(), Euclidean);
+        assert!(nested.contiguous_rows().is_none());
+        // Handles permuted into a new dataset are no longer row i at i * d.
+        let rows = fp.clone().into_rows();
+        assert!(Dataset::new(rows, Euclidean).contiguous_rows().is_none());
+
+        let data = fp.into_dataset(Euclidean);
+        let (buf, dim) = data
+            .contiguous_rows()
+            .expect("into_dataset records its buffer");
+        assert_eq!(dim, 3);
+        assert_eq!(buf.len(), 15);
+        for i in 0..data.len() {
+            let row = &buf[i * dim..(i + 1) * dim];
+            assert_eq!(row, data.point(i).coords());
+            // Same slice, not merely equal coordinates.
+            assert!(std::ptr::eq(row, data.point(i).coords()));
+        }
+        let mapped = data.map_metric(crate::Counting::new(Euclidean));
+        assert_eq!(
+            mapped.contiguous_rows().map(|(b, d)| (b.len(), d)),
+            Some((15, 3))
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use proximity_graphs::core::{GNet, QueryEngine, ShardAssignment, ShardedEngine};
-use proximity_graphs::metric::{Euclidean, FlatPoints, FlatRow};
+use proximity_graphs::metric::{Counting, Euclidean, FlatPoints, FlatRow};
 
 fn thread_counts() -> [usize; 3] {
     let machine = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -118,4 +118,35 @@ proptest! {
         }
         prop_assert!(seen.iter().all(|&s| s), "some id unassigned");
     }
+}
+
+/// Dropping the `Counting` wrapper a sharded index was built under
+/// (`ShardedEngine::map_metric`) changes no answer and no accounting, and
+/// the plain engine no longer counts.
+#[test]
+fn map_metric_keeps_every_answer_and_drops_the_counter() {
+    let points = FlatPoints::from_fn(60, 2, |i, out| {
+        out.push((i % 16) as f64);
+        out.push((i / 16) as f64);
+    });
+    let counting = Counting::new(Euclidean);
+    let counted = ShardedEngine::build(
+        &points,
+        counting.clone(),
+        1.0,
+        3,
+        &ShardAssignment::SeededRandom { seed: 4 },
+    )
+    .with_threads(2);
+    let qs: Vec<FlatRow> = (0..6)
+        .map(|i| FlatRow::from(vec![(i % 7) as f64, (i % 5) as f64]))
+        .collect();
+    let want = counted.batch_beam_detailed(&qs, 12, 3);
+    counting.reset();
+    let plain = counted.map_metric(Euclidean);
+    assert_eq!((plain.threads(), plain.shard_count()), (2, 3));
+    let got = plain.batch_beam_detailed(&qs, 12, 3);
+    assert_eq!(got.outcomes, want.outcomes);
+    assert_eq!(got.dist_comps, want.dist_comps);
+    assert_eq!(counting.count(), 0, "the plain engine counts nothing");
 }
