@@ -47,6 +47,56 @@ fn centers_within_reach<P: Sync, M: Metric<P> + Sync>(
     })
 }
 
+/// The edges of [`GNet::build_fast_on`], each emitted once: the cascade's
+/// relatives of `p`'s covering center at level `i`, restricted to the
+/// centers new at that level.
+fn fast_edges<P: Sync, M: Metric<P> + Sync>(
+    data: &Dataset<P, M>,
+    params: &GNetParams,
+    hierarchy: &NetHierarchy,
+) -> GraphBuilder {
+    let n = data.len();
+    let mut builder = GraphBuilder::new(n);
+    // K = φ + 1: a center y with D(p, y) <= φ r is within (φ+1) r of
+    // p's covering center, hence among that center's relatives.
+    let mut cascade = RelativesCascade::new(data, hierarchy, params.phi + 1.0);
+    loop {
+        let level_idx = cascade.level_idx();
+        let lvl = hierarchy.level(level_idx);
+        // Centers at positions below `carried` also belong to the level
+        // above, where their edges were emitted.
+        let carried = hierarchy
+            .levels()
+            .get(level_idx + 1)
+            .map_or(0, |up| up.len());
+        let rel = cascade.relatives();
+        let reach = params.phi * lvl.radius;
+        let per_point = rayon::par_map_range(n, |p| {
+            let cpos = lvl.cover[p] as usize;
+            let mut targets = Vec::new();
+            for &ypos in &rel[cpos] {
+                if (ypos as usize) < carried {
+                    continue;
+                }
+                let y = lvl.centers[ypos as usize];
+                if y != p as u32 && data.dist(p, y as usize) <= reach {
+                    targets.push(y);
+                }
+            }
+            targets
+        });
+        for (p, targets) in per_point.into_iter().enumerate() {
+            for y in targets {
+                builder.add_edge(p as u32, y);
+            }
+        }
+        if !cascade.descend() {
+            break;
+        }
+    }
+    builder
+}
+
 /// The net-based proximity graph of Theorem 1.1, together with the net
 /// hierarchy it was built from (retained for the merged graph of Theorem 1.3
 /// and for diagnostics).
@@ -75,51 +125,28 @@ impl GNet {
 
     /// Fast construction on a pre-built hierarchy.
     ///
+    /// Each edge is emitted exactly once, at its target's top level: at
+    /// level `i` only the centers promoted fresh into `Y_i` (positions
+    /// `>= |Y_{i+1}|`) are tested, because a carried-over center `y` with
+    /// `D(p, y) <= φ r_i <= φ r_{i+1}` was already emitted at level `i+1`
+    /// (see `ARCHITECTURE.md` § "G_net construction"). The edge set — and
+    /// so the graph — is the same as testing every relative, at fewer
+    /// distance computations.
+    ///
     /// The per-level candidate-generation loop is sharded across the thread
     /// pool (`crates/compat/rayon`): each point's candidate set depends only
     /// on the immutable level snapshot, and the per-point target lists are
     /// re-assembled in id order, so the resulting graph is **bit-identical
     /// to the sequential construction for any thread count** (asserted in
-    /// tests) and the distance-computation total is unchanged.
+    /// tests), and so is the distance-computation total.
     pub fn build_fast_on<P: Sync, M: Metric<P> + Sync>(
         data: &Dataset<P, M>,
         epsilon: f64,
         hierarchy: NetHierarchy,
     ) -> Self {
         let params = GNetParams::new(epsilon);
-        let n = data.len();
-        let mut builder = GraphBuilder::new(n);
-
-        // K = φ + 1: a center y with D(p, y) <= φ r is within (φ+1) r of
-        // p's covering center, hence among that center's relatives.
-        let mut cascade = RelativesCascade::new(data, &hierarchy, params.phi + 1.0);
-        loop {
-            let lvl = hierarchy.level(cascade.level_idx());
-            let rel = cascade.relatives();
-            let reach = params.phi * lvl.radius;
-            let per_point = rayon::par_map_range(n, |p| {
-                let cpos = lvl.cover[p] as usize;
-                let mut targets = Vec::new();
-                for &ypos in &rel[cpos] {
-                    let y = lvl.centers[ypos as usize];
-                    if y != p as u32 && data.dist(p, y as usize) <= reach {
-                        targets.push(y);
-                    }
-                }
-                targets
-            });
-            for (p, targets) in per_point.into_iter().enumerate() {
-                for y in targets {
-                    builder.add_edge(p as u32, y);
-                }
-            }
-            if !cascade.descend() {
-                break;
-            }
-        }
-
         GNet {
-            graph: builder.build(),
+            graph: fast_edges(data, &params, &hierarchy).build(),
             params,
             hierarchy,
         }
@@ -165,7 +192,10 @@ impl GNet {
     /// a 2-ANN `y` of `p` from `T`, adding it to `S` if `D(p, y) <= φ 2^i`,
     /// and deleting it from `T`, until `D(p, y) > 2 φ 2^i`; afterwards the
     /// deleted points are re-inserted.
-    pub fn build_covertree<P, M: Metric<P>>(data: &Dataset<P, M>, epsilon: f64) -> Self {
+    pub fn build_covertree<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        epsilon: f64,
+    ) -> Self {
         let hierarchy = NetHierarchy::build(data);
         Self::build_covertree_on(data, epsilon, hierarchy)
     }
@@ -357,6 +387,22 @@ mod tests {
         let fast = GNet::build_fast_on(&ds, 1.0, h.clone());
         let naive = GNet::build_naive_on(&ds, 1.0, h);
         assert_eq!(fast.graph, naive.graph, "edge sets must be identical");
+    }
+
+    #[test]
+    fn fast_build_emits_every_edge_exactly_once() {
+        // Single emission: the builder receives no duplicate edge and no
+        // self-loop, so what it emitted is exactly the final edge count.
+        for (n, d, seed, eps) in [(150, 2, 21, 1.0), (120, 3, 22, 0.5), (90, 2, 23, 0.25)] {
+            let ds = random_dataset(n, d, seed);
+            let h = NetHierarchy::build(&ds);
+            let params = GNetParams::new(eps);
+            let builder = fast_edges(&ds, &params, &h);
+            let emitted = builder.emitted();
+            let graph = builder.build();
+            assert_eq!(emitted, graph.edge_count(), "n = {n}, eps = {eps}");
+            assert_eq!(graph, GNet::build_naive_on(&ds, eps, h).graph);
+        }
     }
 
     #[test]

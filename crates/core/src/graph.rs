@@ -21,7 +21,9 @@ impl Graph {
     pub fn from_adjacency(adj: Vec<Vec<u32>>) -> Self {
         let n = adj.len();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
+        // The summed list length bounds the deduplicated total, so the CSR
+        // array is allocated once instead of grown by doubling.
+        let mut targets = Vec::with_capacity(adj.iter().map(Vec::len).sum());
         offsets.push(0);
         for (v, mut list) in adj.into_iter().enumerate() {
             list.sort_unstable();
@@ -321,6 +323,13 @@ impl GraphBuilder {
     #[inline]
     pub fn add_edge(&mut self, u: u32, v: u32) {
         self.adj[u as usize].push(v);
+    }
+
+    /// Number of edges added so far, duplicates and self-loops included —
+    /// what a construction emitted, before [`GraphBuilder::build`] filters.
+    #[cfg(test)]
+    pub(crate) fn emitted(&self) -> usize {
+        self.adj.iter().map(Vec::len).sum()
     }
 
     /// Finalizes into a [`Graph`].

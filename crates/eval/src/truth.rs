@@ -221,7 +221,10 @@ impl GroundTruth {
     ///
     /// Requires `1 <= k <= data.len()` and at least one query. Cost:
     /// `m · n` distance computations (counted by a `Counting` metric, if
-    /// the dataset wears one).
+    /// the dataset wears one). Memory: `O(k)` per query — each scan keeps
+    /// only a bounded `k`-entry buffer, never an `n`-long one — so the
+    /// whole computation holds `O(m · k)` beyond the dataset, exactly the
+    /// size of the result.
     pub fn compute<P: Sync, M: Metric<P> + Sync>(
         data: &Dataset<P, M>,
         queries: &[P],

@@ -1,8 +1,41 @@
 //! Id-addressed datasets: a point collection paired with a metric.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::metric::Metric;
+
+/// A candidate of the [`Dataset::k_nearest_brute`] scan: totally ordered by
+/// surrogate, then id — the tie order every search routine reports.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    s: f64,
+    id: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.s
+            .partial_cmp(&other.s)
+            .expect("surrogate distances must be comparable")
+            .then(self.id.cmp(&other.id))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
 
 /// A finite set of data points `P` together with the metric of the ambient
 /// space, addressed by dense integer ids `0..n`.
@@ -148,27 +181,37 @@ impl<P, M: Metric<P>> Dataset<P, M> {
     /// Exact `k` nearest neighbors of `q` by brute force, ascending by
     /// distance (ties broken by id).
     ///
-    /// Partition-based: `select_nth_unstable_by` isolates the top `k` in
-    /// `O(n)`, then only those `k` are sorted — `O(n + k log k)` instead of
-    /// the full `O(n log n)` sort. Comparisons run in surrogate space.
+    /// Streaming: one pass of `n` surrogate evaluations feeds a bounded
+    /// max-heap of the best `k` candidates so far, ordered by
+    /// `(surrogate, id)`, so a candidate displaces the current worst only
+    /// when it is strictly better. Time is `O(n log k)` in the worst case
+    /// (almost every candidate costs one comparison against the heap top);
+    /// memory is `O(k)` per query — the returned vector's capacity is at
+    /// most `min(k, n)`, never an `n`-long buffer. Comparisons run in
+    /// surrogate space; only the `k` survivors are mapped back to true
+    /// distances.
     pub fn k_nearest_brute(&self, q: &P, k: usize) -> Vec<(usize, f64)> {
         if k == 0 {
             return Vec::new();
         }
-        let mut all: Vec<(usize, f64)> = (0..self.len())
-            .map(|i| (i, self.surrogate_to(i, q)))
-            .collect();
-        let by_dist_then_id =
-            |a: &(usize, f64), b: &(usize, f64)| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0));
-        if k < all.len() {
-            all.select_nth_unstable_by(k - 1, by_dist_then_id);
-            all.truncate(k);
+        let mut best = BinaryHeap::with_capacity(k.min(self.len()));
+        for id in 0..self.len() {
+            let c = Candidate {
+                s: self.surrogate_to(id, q),
+                id,
+            };
+            if best.len() < k {
+                best.push(c);
+            } else if let Some(mut worst) = best.peek_mut() {
+                if c < *worst {
+                    *worst = c;
+                }
+            }
         }
-        all.sort_by(by_dist_then_id);
-        for e in &mut all {
-            e.1 = self.dist_from_surrogate(e.1);
-        }
-        all
+        best.into_sorted_vec()
+            .into_iter()
+            .map(|c| (c.id, self.dist_from_surrogate(c.s)))
+            .collect()
     }
 
     /// Nearest *other* data point to data point `i`: returns `(id, dist)`.
@@ -255,6 +298,7 @@ impl<P: Sync, M: Metric<P> + Sync> Dataset<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::Counting;
     use crate::lp::Euclidean;
 
     fn grid_dataset() -> Dataset<Vec<f64>, Euclidean> {
@@ -369,6 +413,82 @@ mod tests {
             let got = ds.k_nearest_brute(&q, k);
             let want: Vec<(usize, f64)> = full.iter().copied().take(k).collect();
             assert_eq!(got, want, "k = {k}");
+        }
+    }
+
+    /// The select-nth implementation `k_nearest_brute` replaced, kept as
+    /// the differential reference: materialize all `n` pairs, partition the
+    /// top `k` out, sort them.
+    fn k_nearest_select_nth<P, M: Metric<P>>(
+        ds: &Dataset<P, M>,
+        q: &P,
+        k: usize,
+    ) -> Vec<(usize, f64)> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut all: Vec<(usize, f64)> =
+            (0..ds.len()).map(|i| (i, ds.surrogate_to(i, q))).collect();
+        let by_dist_then_id =
+            |a: &(usize, f64), b: &(usize, f64)| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0));
+        if k < all.len() {
+            all.select_nth_unstable_by(k - 1, by_dist_then_id);
+            all.truncate(k);
+        }
+        all.sort_by(by_dist_then_id);
+        for e in &mut all {
+            e.1 = ds.dist_from_surrogate(e.1);
+        }
+        all
+    }
+
+    /// An integer grid `side × side` (plus a duplicated row), so almost
+    /// every query sees long runs of equal distances.
+    fn tie_heavy_grid(side: usize) -> Vec<Vec<f64>> {
+        let mut pts = Vec::new();
+        for x in 0..side {
+            for y in 0..side {
+                pts.push(vec![x as f64, y as f64]);
+            }
+        }
+        pts.extend((0..side).map(|x| vec![x as f64, 0.0]));
+        pts
+    }
+
+    #[test]
+    fn streaming_k_nearest_matches_select_nth_on_tie_heavy_grids() {
+        for side in [1usize, 2, 5, 9] {
+            let ds = Dataset::new(tie_heavy_grid(side), Euclidean);
+            let n = ds.len();
+            let queries = [
+                vec![0.0, 0.0],
+                vec![2.0, 2.0],
+                vec![1.5, 0.5],
+                vec![-3.0, 4.0],
+            ];
+            for q in &queries {
+                for k in [1, 3, n.saturating_sub(1), n, n + 5] {
+                    let got = ds.k_nearest_brute(q, k);
+                    let want = k_nearest_select_nth(&ds, q, k);
+                    let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                        v.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "side {side}, k {k}, q {q:?}");
+                    assert!(got.capacity() <= k, "capacity {} > k = {k}", got.capacity());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_k_nearest_costs_exactly_n_surrogates_per_query() {
+        let metric = Counting::new(Euclidean);
+        let ds = Dataset::new(tie_heavy_grid(6), metric.clone());
+        let n = ds.len() as u64;
+        for k in [1, 3, 41, 42, 50] {
+            metric.reset();
+            let _ = ds.k_nearest_brute(&vec![2.0, 3.0], k);
+            assert_eq!(metric.count(), n, "k = {k}");
         }
     }
 

@@ -11,7 +11,7 @@
 
 use pg_metric::{Dataset, Metric};
 
-use crate::hierarchy::NetHierarchy;
+use crate::hierarchy::{NetHierarchy, NetLevel};
 
 /// Iterator-style descent through a [`NetHierarchy`], maintaining relatives
 /// lists for one level at a time (memory stays proportional to a single
@@ -28,7 +28,7 @@ pub struct RelativesCascade<'h, 'd, P, M> {
     rel: Vec<Vec<u32>>,
 }
 
-impl<'h, 'd, P, M: Metric<P>> RelativesCascade<'h, 'd, P, M> {
+impl<'h, 'd, P: Sync, M: Metric<P> + Sync> RelativesCascade<'h, 'd, P, M> {
     /// Starts a cascade at the top level. `k` must be at least 4 for the
     /// level-to-level recurrence to be complete.
     pub fn new(data: &'d Dataset<P, M>, hierarchy: &'h NetHierarchy, k: f64) -> Self {
@@ -71,41 +71,60 @@ impl<'h, 'd, P, M: Metric<P>> RelativesCascade<'h, 'd, P, M> {
         if self.level_idx == 0 {
             return false;
         }
-        let above = self.hierarchy.level(self.level_idx);
+        let above_len = self.hierarchy.level(self.level_idx).len();
         let below = self.hierarchy.level(self.level_idx - 1);
-        let r_below = below.radius;
-
         // Freshly promoted centers of `below`, grouped by parent position.
-        let mut new_by_parent: Vec<Vec<u32>> = vec![Vec::new(); above.len()];
-        for pos in above.len()..below.len() {
+        let mut new_by_parent: Vec<Vec<u32>> = vec![Vec::new(); above_len];
+        for pos in above_len..below.len() {
             new_by_parent[below.parent_pos[pos] as usize].push(pos as u32);
         }
-
-        let mut next_rel: Vec<Vec<u32>> = Vec::with_capacity(below.len());
-        for pos in 0..below.len() {
-            let y = below.centers[pos] as usize;
-            let ppos = below.parent_pos[pos] as usize;
-            let mut list = Vec::new();
-            for &f in &self.rel[ppos] {
-                // Carried-over center: same position at both levels.
-                let old_pid = above.centers[f as usize];
-                if self.data.dist(y, old_pid as usize) <= self.k * r_below {
-                    list.push(f);
-                }
-                for &np in &new_by_parent[f as usize] {
-                    let new_pid = below.centers[np as usize];
-                    if self.data.dist(y, new_pid as usize) <= self.k * r_below {
-                        list.push(np);
-                    }
-                }
-            }
-            next_rel.push(list);
-        }
-
-        self.rel = next_rel;
+        self.rel = relatives_step(
+            self.data,
+            below,
+            &new_by_parent,
+            &self.rel,
+            self.k * below.radius,
+        );
         self.level_idx -= 1;
         true
     }
+}
+
+/// One step of the relatives recurrence, shared by the friends lists of
+/// [`NetHierarchy::build`] (`reach = 4 r`) and [`RelativesCascade::descend`]
+/// (`reach = K r`): from the relatives `rel_above` of the level above, the
+/// list of every center of `below` within `reach` of each center of `below`.
+///
+/// Center `y`'s candidates are the relatives of its parent, each with the
+/// fresh children `new_by_parent` lists for it; a carried-over relative
+/// `f` is the same center at position `f` on both levels (the position
+/// invariant). Each list depends only on the immutable inputs, so the
+/// centers are mapped in parallel with the order-preserving
+/// `par_map_range`: the output is bit-identical at every thread count.
+pub(crate) fn relatives_step<P: Sync, M: Metric<P> + Sync>(
+    data: &Dataset<P, M>,
+    below: &NetLevel,
+    new_by_parent: &[Vec<u32>],
+    rel_above: &[Vec<u32>],
+    reach: f64,
+) -> Vec<Vec<u32>> {
+    let within = |y: usize, pos: u32| data.dist(y, below.centers[pos as usize] as usize) <= reach;
+    rayon::par_map_range(below.len(), |pos| {
+        let y = below.centers[pos] as usize;
+        let mut list = Vec::new();
+        for &f in &rel_above[below.parent_pos[pos] as usize] {
+            if within(y, f) {
+                list.push(f);
+            }
+            list.extend(
+                new_by_parent[f as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&np| within(y, np)),
+            );
+        }
+        list
+    })
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 use pg_metric::aspect::approx_diameter;
 use pg_metric::{Dataset, Metric};
 
+use crate::cascade::relatives_step;
+
 /// Sentinel for "not a center at this level".
 pub(crate) const NOT_A_CENTER: u32 = u32::MAX;
 
@@ -13,7 +15,7 @@ pub(crate) const NOT_A_CENTER: u32 = u32::MAX;
 /// level `i+1` occupy the same positions (indices into `centers`) as they do
 /// at level `i+1`; newly promoted centers are appended after them. Several
 /// algorithms (friends lists, [`crate::RelativesCascade`]) rely on this.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetLevel {
     /// Net radius `r_i` of this level.
     pub radius: f64,
@@ -69,7 +71,7 @@ impl NetLevel {
 /// * `bottom_radius() ∈ [d_min/2, d_min)` and `top_radius() ∈
 ///   [diam, 2 diam]` — the `d̂`-estimates of the Section 2.4 remark come for
 ///   free.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetHierarchy {
     levels: Vec<NetLevel>,
 }
@@ -92,12 +94,15 @@ impl NetHierarchy {
     /// Panics if the dataset contains duplicate points (`max_levels`, default
     /// 192, exceeded) — the paper assumes a finite aspect ratio, which
     /// requires distinct points.
-    pub fn build<P, M: Metric<P>>(data: &Dataset<P, M>) -> Self {
+    pub fn build<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>) -> Self {
         Self::build_with_max_levels(data, 192)
     }
 
     /// [`NetHierarchy::build`] with an explicit level cap.
-    pub fn build_with_max_levels<P, M: Metric<P>>(data: &Dataset<P, M>, max_levels: usize) -> Self {
+    pub fn build_with_max_levels<P: Sync, M: Metric<P> + Sync>(
+        data: &Dataset<P, M>,
+        max_levels: usize,
+    ) -> Self {
         let n = data.len();
         assert!(n >= 2, "hierarchy needs at least two points");
 
@@ -178,37 +183,24 @@ impl NetHierarchy {
                 }
             }
 
-            // Friends lists for the next level, from the parents' friends.
-            // Completeness for factor C >= 4: centers y, z at distance
-            // <= C * r_next have parents within (C/2 + 2) * r_cur <= C * r_cur.
-            let mut next_friends: Vec<Vec<u32>> = Vec::with_capacity(centers.len());
-            for i in 0..centers.len() {
-                let y = centers[i] as usize;
-                let ppos = parent_pos[i] as usize;
-                let mut list = Vec::new();
-                for &f in &friends[ppos] {
-                    let old_pid = cur.centers[f as usize];
-                    if data.dist(y, old_pid as usize) <= BUILD_FRIEND_FACTOR * r_next {
-                        list.push(f);
-                    }
-                    for &np in &new_by_parent[f as usize] {
-                        let new_pid = centers[np as usize];
-                        if data.dist(y, new_pid as usize) <= BUILD_FRIEND_FACTOR * r_next {
-                            list.push(np);
-                        }
-                    }
-                }
-                next_friends.push(list);
-            }
-
-            friends = next_friends;
-            levels_topdown.push(NetLevel {
+            let level = NetLevel {
                 radius: r_next,
                 centers,
                 cover,
                 pos_of,
                 parent_pos,
-            });
+            };
+            // Friends lists for the next level, from the parents' friends.
+            // Completeness for factor C >= 4: centers y, z at distance
+            // <= C * r_next have parents within (C/2 + 2) * r_cur <= C * r_cur.
+            friends = relatives_step(
+                data,
+                &level,
+                &new_by_parent,
+                &friends,
+                BUILD_FRIEND_FACTOR * r_next,
+            );
+            levels_topdown.push(level);
         }
 
         levels_topdown.reverse();

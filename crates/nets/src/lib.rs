@@ -27,7 +27,9 @@
 //!
 //! [`RelativesCascade`] generalizes the friends lists to any radius factor
 //! `K >= 4`; `pg-core` uses it with `K = φ + 1` to enumerate the out-edges of
-//! `G_net` without scanning whole levels.
+//! `G_net` without scanning whole levels. Both run one shared relatives
+//! step per level, parallel over center positions and bit-identical at any
+//! thread count.
 //!
 //! Where this crate sits in the workspace is mapped in `ARCHITECTURE.md`
 //! at the repository root.

@@ -73,3 +73,16 @@ fn hierarchy_reuse_is_equivalent_to_fresh_build() {
     let reused = GNet::build_fast_on(&data, 1.0, h);
     assert_eq!(fresh.graph, reused.graph);
 }
+
+#[test]
+fn builders_agree_on_deep_clustered_ladders() {
+    // Tight clusters far apart: a deep ladder in which most levels carry
+    // almost all of their centers over from the level above — the case the
+    // fast builder's single-emission skip works hardest on.
+    let points = workloads::gaussian_clusters(120, 2, 4, 0.05, 1.0e4, 7);
+    let data = Dataset::new(points, Euclidean);
+    assert!(NetHierarchy::build(&data).num_levels() >= 12);
+    for eps in [1.0, 0.5, 0.25] {
+        assert_all_builders_agree(&data, eps, &format!("clustered eps={eps}"));
+    }
+}
