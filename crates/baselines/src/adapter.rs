@@ -26,11 +26,11 @@
 //! # `ef` semantics (uniform across adapters)
 //!
 //! `ef` is the *effort axis* a frontier sweep walks: the beam width for
-//! graph indexes and HNSW (effective width `ef.max(k)`; larger `ef` buys
-//! recall with distance computations), and deliberately **ignored** by
-//! [`BruteIndex`] — brute force always scans all `n` points, so its
-//! frontier is a single point repeated along the axis, which is exactly
-//! what makes it the fixed reference line of a recall/QPS plot.
+//! graph indexes and HNSW (HNSW's effective width is `ef.max(k).max(1)`;
+//! larger `ef` buys recall with distance computations), and deliberately
+//! **ignored** by [`BruteIndex`] — brute force always scans all `n` points,
+//! so its frontier is a single point repeated along the axis, which is
+//! exactly what makes it the fixed reference line of a recall/QPS plot.
 //!
 //! # Example
 //!
@@ -306,7 +306,7 @@ impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for BruteIndex {
 
 impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for crate::Hnsw {
     /// [`Hnsw::search_detailed`](crate::Hnsw::search_detailed): greedy
-    /// descent plus a ground-layer beam of effective width `ef.max(k)`.
+    /// descent plus a ground-layer beam of effective width `ef.max(k).max(1)`.
     fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
         self.search_detailed(data, q, ef, k)
     }

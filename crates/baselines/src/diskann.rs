@@ -16,7 +16,7 @@
 //!   a random regular graph improved by two passes of beam search +
 //!   α-robust-prune, with reverse-edge insertion.
 
-use pg_core::{Graph, GraphBuilder};
+use pg_core::{Graph, GraphBuilder, SearchScratch};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -94,10 +94,20 @@ impl Default for VamanaParams {
 /// routes through the pool-aware `label_dists` helper (parallel past its
 /// 512-candidate threshold, sequential below it), reading only immutable
 /// snapshots — the result is bit-identical for any thread count.
+///
+/// Each point's candidate pool is the visited set of a width-`L` beam from
+/// the medoid over the current lists: [`SearchScratch::best_first`], the
+/// shared kernel, comparing in the metric's surrogate space, with one
+/// scratch reused across every point of every pass.
+///
+/// # Panics
+/// If `data` has fewer than 2 points, `params.r == 0` or `params.l == 0`.
 pub fn vamana<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, params: VamanaParams) -> Graph {
+    assert!(params.r >= 1, "VamanaParams::r must be at least 1, got 0");
+    assert!(params.l >= 1, "VamanaParams::l must be at least 1, got 0");
     let n = data.len();
     assert!(n >= 2);
-    let r = params.r.min(n - 1).max(1);
+    let r = params.r.min(n - 1);
     let mut rng = StdRng::seed_from_u64(params.seed);
 
     // Random r-regular-ish initial adjacency.
@@ -114,19 +124,19 @@ pub fn vamana<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, params: Vamana
         })
         .collect();
 
-    let medoid = approx_medoid(data, &mut rng);
+    let medoid = approx_medoid(data, &mut rng) as u32;
+    let mut scratch = SearchScratch::default();
 
     for _pass in 0..params.passes {
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut rng);
         for &p in &order {
             // Beam search for p from the medoid over the current graph.
-            let visited = beam_visited(data, &adj, medoid, data.point(p), params.l);
-            let mut candidates: Vec<u32> = visited;
-            candidates.extend_from_slice(&adj[p]);
-            candidates.sort_unstable();
-            candidates.dedup();
-            candidates.retain(|&v| v as usize != p);
+            let q = data.point(p);
+            scratch.best_first(&adj[..], &[medoid], params.l, |v| {
+                data.surrogate_to(v as usize, q)
+            });
+            let candidates = [scratch.visited(), &adj[p]].concat();
             adj[p] = robust_prune(data, p, candidates, params.alpha, r);
             // Reverse edges with pruning on overflow.
             let out = adj[p].clone();
@@ -170,66 +180,6 @@ fn robust_prune<P: Sync, M: Metric<P> + Sync>(
         });
     }
     kept
-}
-
-/// Beam search over a mutable adjacency list; returns the visited set
-/// (the candidate pool for robust pruning).
-fn beam_visited<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    adj: &[Vec<u32>],
-    start: usize,
-    q: &P,
-    ef: usize,
-) -> Vec<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct C(f64, u32);
-    impl Eq for C {}
-    impl PartialOrd for C {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for C {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    let mut visited = vec![false; data.len()];
-    let mut visited_list = Vec::new();
-    let d0 = data.dist_to(start, q);
-    visited[start] = true;
-    visited_list.push(start as u32);
-    let mut frontier = BinaryHeap::new();
-    let mut results: BinaryHeap<C> = BinaryHeap::new();
-    frontier.push(Reverse(C(d0, start as u32)));
-    results.push(C(d0, start as u32));
-    while let Some(Reverse(C(d, v))) = frontier.pop() {
-        let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        for &nb in &adj[v as usize] {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            visited_list.push(nb);
-            let dn = data.dist_to(nb as usize, q);
-            let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(C(dn, nb)));
-                results.push(C(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-            }
-        }
-    }
-    visited_list
 }
 
 /// Approximate medoid: the sampled point minimizing distance to a random
@@ -392,5 +342,25 @@ mod tests {
         let g1 = vamana(&ds, VamanaParams::default());
         let g2 = vamana(&ds, VamanaParams::default());
         assert_eq!(g1, g2);
+    }
+
+    #[test]
+    #[should_panic(expected = "VamanaParams::r must be at least 1")]
+    fn vamana_rejects_zero_r() {
+        let params = VamanaParams {
+            r: 0,
+            ..VamanaParams::default()
+        };
+        vamana(&random_dataset(20, 2, 9), params);
+    }
+
+    #[test]
+    #[should_panic(expected = "VamanaParams::l must be at least 1")]
+    fn vamana_rejects_zero_l() {
+        let params = VamanaParams {
+            l: 0,
+            ..VamanaParams::default()
+        };
+        vamana(&random_dataset(20, 2, 10), params);
     }
 }

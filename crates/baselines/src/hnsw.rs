@@ -9,13 +9,17 @@
 //! nearest selection or the distance-diversifying heuristic) with
 //! bidirectional edges and degree capping (`M_max`, `2M` on the ground
 //! layer).
+//!
+//! Every walk, at build and at query time, runs on `pg_core`'s routing code
+//! over the layer's adjacency lists, in the metric's surrogate space:
+//! [`pg_core::greedy`] for the descent, [`SearchScratch::best_first`] (one
+//! scratch per build) for each `SEARCH-LAYER` beam. Distances are mapped
+//! back only for the neighbor selection and the reported results.
 
-use pg_core::{BeamOutcome, Graph};
+use pg_core::{greedy, BeamOutcome, Graph, SearchScratch};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// HNSW construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -55,20 +59,6 @@ pub struct Hnsw {
     params: HnswParams,
 }
 
-#[derive(PartialEq)]
-struct C(f64, u32);
-impl Eq for C {}
-impl PartialOrd for C {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for C {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
 impl Hnsw {
     /// Builds the index by sequential insertion.
     ///
@@ -79,7 +69,20 @@ impl Hnsw {
     /// past a 512-candidate threshold — at default parameters (`M = 12`,
     /// candidate lists ≈ `M_max + 1`) the build therefore runs effectively
     /// sequentially, and stays bit-identical for any thread count.
+    ///
+    /// # Panics
+    /// If `data` is empty, `params.m < 2` (the level factor `1/ln M` needs
+    /// `M > 1`) or `params.ef_construction == 0`.
     pub fn build<P: Sync, M: Metric<P> + Sync>(data: &Dataset<P, M>, params: HnswParams) -> Self {
+        assert!(
+            params.m >= 2,
+            "HnswParams::m must be at least 2, got {}",
+            params.m
+        );
+        assert!(
+            params.ef_construction >= 1,
+            "HnswParams::ef_construction must be at least 1, got 0"
+        );
         let n = data.len();
         assert!(n >= 1);
         let ml = 1.0 / (params.m as f64).ln();
@@ -93,31 +96,34 @@ impl Hnsw {
         let max_level = levels.iter().copied().max().unwrap_or(0);
         let mut layers: Vec<Vec<Vec<u32>>> = (0..=max_level).map(|_| vec![Vec::new(); n]).collect();
 
-        let mut index = Hnsw {
-            layers: Vec::new(),
-            levels: levels.clone(),
-            entry: 0,
-            params,
-        };
-
         // Insert points one by one (point 0 bootstraps as entry).
         let mut entry = 0u32;
         let mut entry_level = levels[0];
+        let mut scratch = SearchScratch::default();
+        let ef = params.ef_construction;
         for p in 1..n {
             let p_level = levels[p];
             let q = data.point(p);
             let mut cur = entry;
             // Greedy descent through layers above p's top level.
-            let mut lvl = entry_level;
-            while lvl > p_level {
-                cur = greedy_layer(data, &layers[lvl], cur, q);
-                lvl -= 1;
+            for lvl in (p_level + 1..=entry_level).rev() {
+                cur = greedy(&layers[lvl][..], data, cur, q).result;
             }
             // Beam insertion from min(entry_level, p_level) down to 0.
             let start_lvl = p_level.min(entry_level);
             let mut eps = vec![cur];
             for l in (0..=start_lvl).rev() {
-                let found = search_layer(data, &layers[l], &eps, q, params.ef_construction);
+                // SEARCH-LAYER of [22] from the previous layer's results,
+                // mapped back to distances for the neighbor selection.
+                let walk = scratch.best_first(&layers[l][..], &eps, ef, |v| {
+                    data.surrogate_to(v as usize, q)
+                });
+                let found: Vec<(f64, u32)> = walk
+                    .top(ef)
+                    .results
+                    .into_iter()
+                    .map(|(v, s)| (data.dist_from_surrogate(s), v))
+                    .collect();
                 let m_max = if l == 0 { 2 * params.m } else { params.m };
                 let selected = if params.heuristic {
                     select_heuristic(data, p, &found, params.m)
@@ -142,9 +148,12 @@ impl Hnsw {
             }
         }
 
-        index.layers = layers;
-        index.entry = entry;
-        index
+        Hnsw {
+            layers,
+            levels,
+            entry,
+            params,
+        }
     }
 
     /// Searches for the `k` nearest neighbors of `q`.
@@ -155,10 +164,12 @@ impl Hnsw {
     ///
     /// **`ef` semantics.** `ef` is the ground-layer beam width — the size of
     /// the best-candidates set the beam maintains, *not* the result count.
-    /// The effective width is `ef.max(k)` (a beam narrower than `k` could
-    /// not hold `k` results), so `ef` values below `k` are equivalent to
-    /// `ef = k`. Raising `ef` trades distance computations for recall; `ef`
-    /// does not affect the descent phase.
+    /// The effective width is `ef.max(k).max(1)`: a beam narrower than `k`
+    /// could not hold `k` results, so `ef` values below `k` are equivalent
+    /// to `ef = k`, and a beam is at least one wide, so `ef = 0, k = 0`
+    /// costs what an `ef = 1` beam costs and returns no results. Raising
+    /// `ef` trades distance computations for recall; `ef` does not affect
+    /// the descent phase.
     ///
     /// **Ordering and tie-breaking.** Results are ascending by true
     /// distance with ties broken by smaller id — the same `(dist, id)`
@@ -168,7 +179,9 @@ impl Hnsw {
     /// frontier/result heaps use the same tie rule internally, which makes
     /// the whole search deterministic: equal-distance candidates at the
     /// beam boundary are kept or dropped by id, never by heap insertion
-    /// order.
+    /// order. The walk compares squared distances under `L_2` (the metric's
+    /// surrogate), which refines distance order where two distinct squared
+    /// distances round to one distance; see `pg_core::query`.
     ///
     /// Returns results and the distance-computation count (when `data`'s
     /// metric is wrapped in `Counting`, both agree). [`Hnsw::search_detailed`]
@@ -198,23 +211,23 @@ impl Hnsw {
         ef: usize,
         k: usize,
     ) -> BeamOutcome {
-        let mut comps: u64 = 0;
-        let mut expansions: u64 = 0;
+        let (mut comps, mut expansions) = (0, 0);
         let mut cur = self.entry;
-        for lvl in (1..self.layers.len()).rev() {
-            cur =
-                greedy_layer_detailed(data, &self.layers[lvl], cur, q, &mut comps, &mut expansions);
+        for layer in self.layers[1..].iter().rev() {
+            let walk = greedy(&layer[..], data, cur, q);
+            comps += walk.dist_comps;
+            expansions += walk.hops.len() as u64;
+            cur = walk.result;
         }
-        let (found, c, e) = search_layer_detailed(data, &self.layers[0], &[cur], q, ef.max(k));
-        comps += c;
-        expansions += e;
-        let mut out: Vec<(u32, f64)> = found.into_iter().map(|(d, v)| (v, d)).collect();
-        out.truncate(k);
-        BeamOutcome {
-            results: out,
-            dist_comps: comps,
-            expansions,
-        }
+        let mut out = SearchScratch::default()
+            .best_first(&self.layers[0][..], &[cur], ef.max(k).max(1), |v| {
+                data.surrogate_to(v as usize, q)
+            })
+            .top(k)
+            .into_outcome(data);
+        out.dist_comps += comps;
+        out.expansions += expansions;
+        out
     }
 
     /// The ground layer as an immutable [`Graph`] (for degree statistics
@@ -250,115 +263,6 @@ impl Hnsw {
     pub fn params(&self) -> HnswParams {
         self.params
     }
-}
-
-/// Greedy hill descent on one layer (ef = 1).
-fn greedy_layer<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    layer: &[Vec<u32>],
-    start: u32,
-    q: &P,
-) -> u32 {
-    let mut comps = 0u64;
-    let mut expansions = 0u64;
-    greedy_layer_detailed(data, layer, start, q, &mut comps, &mut expansions)
-}
-
-/// One greedy descent step sequence with full accounting: `expansions`
-/// counts neighbor-list scans (one per vertex the walk stands on), the
-/// layered analogue of a graph-walk hop.
-fn greedy_layer_detailed<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    layer: &[Vec<u32>],
-    start: u32,
-    q: &P,
-    comps: &mut u64,
-    expansions: &mut u64,
-) -> u32 {
-    let mut cur = start;
-    *comps += 1;
-    let mut d_cur = data.dist_to(cur as usize, q);
-    loop {
-        let mut improved = false;
-        *expansions += 1;
-        for &nb in &layer[cur as usize] {
-            *comps += 1;
-            let d = data.dist_to(nb as usize, q);
-            if d < d_cur {
-                cur = nb;
-                d_cur = d;
-                improved = true;
-            }
-        }
-        if !improved {
-            return cur;
-        }
-    }
-}
-
-/// `SEARCH-LAYER` of \[22\]: beam of width `ef` from the given entry points.
-/// Returns `(dist, id)` ascending.
-fn search_layer<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    layer: &[Vec<u32>],
-    entries: &[u32],
-    q: &P,
-    ef: usize,
-) -> Vec<(f64, u32)> {
-    search_layer_detailed(data, layer, entries, q, ef).0
-}
-
-fn search_layer_detailed<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    layer: &[Vec<u32>],
-    entries: &[u32],
-    q: &P,
-    ef: usize,
-) -> (Vec<(f64, u32)>, u64, u64) {
-    let mut comps = 0u64;
-    let mut expansions = 0u64;
-    let mut visited = vec![false; data.len()];
-    let mut frontier: BinaryHeap<Reverse<C>> = BinaryHeap::new();
-    let mut results: BinaryHeap<C> = BinaryHeap::new();
-    for &e in entries {
-        if visited[e as usize] {
-            continue;
-        }
-        visited[e as usize] = true;
-        comps += 1;
-        let d = data.dist_to(e as usize, q);
-        frontier.push(Reverse(C(d, e)));
-        results.push(C(d, e));
-        if results.len() > ef {
-            results.pop();
-        }
-    }
-    while let Some(Reverse(C(d, v))) = frontier.pop() {
-        let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        expansions += 1;
-        for &nb in &layer[v as usize] {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            comps += 1;
-            let dn = data.dist_to(nb as usize, q);
-            let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(C(dn, nb)));
-                results.push(C(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-            }
-        }
-    }
-    let mut out: Vec<(f64, u32)> = results.into_iter().map(|C(d, v)| (d, v)).collect();
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    (out, comps, expansions)
 }
 
 /// `SELECT-NEIGHBORS-HEURISTIC` of \[22\]: keep a candidate only if it is
@@ -563,5 +467,47 @@ mod tests {
             }
         }
         assert!(hits >= 26, "simple-selection recall too low: {hits}/30");
+    }
+
+    #[test]
+    fn zero_ef_and_k_cost_one_beam_step_and_return_nothing() {
+        // The effective width is ef.max(k).max(1): k = 0 returns no
+        // results at exactly the cost of an ef = 1 beam, not a walk over
+        // the whole ground layer.
+        let ds = random_dataset(200, 2, 9);
+        let h = Hnsw::build(&ds, HnswParams::default());
+        let q: FlatRow = vec![12.5, 17.0].into();
+        let none = h.search_detailed(&ds, &q, 0, 0);
+        assert!(none.results.is_empty());
+        for (ef, k) in [(1, 0), (1, 1), (0, 1)] {
+            let one = h.search_detailed(&ds, &q, ef, k);
+            assert_eq!(one.results.len(), k);
+            assert_eq!(
+                (none.dist_comps, none.expansions),
+                (one.dist_comps, one.expansions),
+                "ef = {ef}, k = {k}"
+            );
+        }
+        assert!(none.expansions < 50, "{} expansions", none.expansions);
+    }
+
+    #[test]
+    #[should_panic(expected = "HnswParams::m must be at least 2")]
+    fn rejects_m_below_two() {
+        let params = HnswParams {
+            m: 1,
+            ..HnswParams::default()
+        };
+        Hnsw::build(&random_dataset(20, 2, 10), params);
+    }
+
+    #[test]
+    #[should_panic(expected = "HnswParams::ef_construction must be at least 1")]
+    fn rejects_zero_ef_construction() {
+        let params = HnswParams {
+            ef_construction: 0,
+            ..HnswParams::default()
+        };
+        Hnsw::build(&random_dataset(20, 2, 11), params);
     }
 }

@@ -14,10 +14,15 @@
 //! All constructions emit [`pg_core::Graph`]s (HNSW additionally keeps its
 //! layer stack), so the comparison experiments can route queries through the
 //! exact same `greedy`/beam code paths and count distance computations with
-//! the same instrumentation. The [`adapter`] module goes one step further
-//! and puts every family — plain graphs, HNSW's layered search, and brute
-//! force — behind the single [`SweepSearch`] trait, which is what the
-//! evaluation crate (`pg_eval`) sweeps recall/QPS frontiers through.
+//! the same instrumentation. The insertion-built indexes (HNSW, Vamana, NSW)
+//! also *build* and search on those paths: every walk they take is
+//! [`pg_core::greedy`] or [`pg_core::SearchScratch::best_first`], over the
+//! adjacency lists the build is still growing, with one scratch per build.
+//! The crate has no search loop of its own. The [`adapter`] module goes one
+//! step further and puts every family — plain graphs, HNSW's layered
+//! search, and brute force — behind the single [`SweepSearch`] trait, which
+//! is what the evaluation crate (`pg_eval`) sweeps recall/QPS frontiers
+//! through.
 //!
 //! Where this crate sits in the workspace is mapped in `ARCHITECTURE.md`
 //! at the repository root.
@@ -48,13 +53,11 @@ pub(crate) fn label_dists<P: Sync, M: Metric<P> + Sync>(
     p: usize,
     cands: &[u32],
 ) -> Vec<(f64, u32)> {
+    let label = |&v: &u32| (data.dist(p, v as usize), v);
     if cands.len() >= PAR_DIST_THRESHOLD {
-        rayon::par_map(cands, |&v| (data.dist(p, v as usize), v))
+        rayon::par_map(cands, label)
     } else {
-        cands
-            .iter()
-            .map(|&v| (data.dist(p, v as usize), v))
-            .collect()
+        cands.iter().map(label).collect()
     }
 }
 

@@ -11,17 +11,20 @@
 //! are therefore exactly those documented on `beam_search`: effective beam
 //! width `ef.max(k)` is *not* applied here — `beam_search` keeps `ef` as
 //! given and truncates to `k` at the end — and all orderings break distance
-//! ties by smaller id, identically to brute force. The construction-time
-//! beam below mirrors that rule (its candidate heap orders by `(dist, id)`),
-//! so the built graph is deterministic for a seed at every thread count.
+//! ties by smaller id, identically to brute force.
+//!
+//! # Building one
+//!
+//! As in \[21\], an insertion is a query: each point is connected to the
+//! best `M` results of a width-`ef_construction` beam over the lists built
+//! so far, run by [`SearchScratch::best_first`] — the kernel `beam_search`
+//! runs — on one scratch per build. The graph is deterministic for a seed.
 
-use pg_core::Graph;
+use pg_core::{Graph, SearchScratch};
 use pg_metric::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// NSW construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +48,15 @@ impl Default for NswParams {
 }
 
 /// Builds an NSW graph.
+///
+/// # Panics
+/// If `data` is empty, `params.m == 0` or `params.ef_construction == 0`.
 pub fn nsw<P, M: Metric<P>>(data: &Dataset<P, M>, params: NswParams) -> Graph {
+    assert!(params.m >= 1, "NswParams::m must be at least 1, got 0");
+    assert!(
+        params.ef_construction >= 1,
+        "NswParams::ef_construction must be at least 1, got 0"
+    );
     let n = data.len();
     assert!(n >= 1);
     let mut rng = StdRng::seed_from_u64(params.seed);
@@ -53,75 +64,21 @@ pub fn nsw<P, M: Metric<P>>(data: &Dataset<P, M>, params: NswParams) -> Graph {
     order.shuffle(&mut rng);
 
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut inserted: Vec<u32> = Vec::with_capacity(n);
-    for &p in &order {
-        if inserted.is_empty() {
-            inserted.push(p as u32);
-            continue;
-        }
-        let entry = inserted[0];
-        let found = beam(data, &adj, entry, data.point(p), params.ef_construction);
-        for &(_, v) in found.iter().take(params.m) {
+    let mut scratch = SearchScratch::default();
+    let entry = order[0] as u32;
+    for &p in &order[1..] {
+        let q = data.point(p);
+        let found = scratch
+            .best_first(&adj[..], &[entry], params.ef_construction, |v| {
+                data.surrogate_to(v as usize, q)
+            })
+            .top(params.m);
+        for (v, _) in found.results {
             adj[p].push(v);
             adj[v as usize].push(p as u32);
         }
-        inserted.push(p as u32);
     }
     Graph::from_adjacency(adj)
-}
-
-#[derive(PartialEq)]
-struct C(f64, u32);
-impl Eq for C {}
-impl PartialOrd for C {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for C {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
-fn beam<P, M: Metric<P>>(
-    data: &Dataset<P, M>,
-    adj: &[Vec<u32>],
-    start: u32,
-    q: &P,
-    ef: usize,
-) -> Vec<(f64, u32)> {
-    let mut visited = vec![false; data.len()];
-    visited[start as usize] = true;
-    let d0 = data.dist_to(start as usize, q);
-    let mut frontier = BinaryHeap::new();
-    let mut results: BinaryHeap<C> = BinaryHeap::new();
-    frontier.push(Reverse(C(d0, start)));
-    results.push(C(d0, start));
-    while let Some(Reverse(C(d, v))) = frontier.pop() {
-        let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-        if results.len() >= ef && d > worst {
-            break;
-        }
-        for &nb in &adj[v as usize] {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            let dn = data.dist_to(nb as usize, q);
-            let worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
-            if results.len() < ef || dn < worst {
-                frontier.push(Reverse(C(dn, nb)));
-                results.push(C(dn, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-            }
-        }
-    }
-    let mut out: Vec<(f64, u32)> = results.into_iter().map(|C(d, v)| (d, v)).collect();
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out
 }
 
 #[cfg(test)]
@@ -174,5 +131,25 @@ mod tests {
             nsw(&ds, NswParams::default()),
             nsw(&ds, NswParams::default())
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "NswParams::m must be at least 1")]
+    fn rejects_zero_m() {
+        let params = NswParams {
+            m: 0,
+            ..NswParams::default()
+        };
+        nsw(&random_dataset(20, 4), params);
+    }
+
+    #[test]
+    #[should_panic(expected = "NswParams::ef_construction must be at least 1")]
+    fn rejects_zero_ef_construction() {
+        let params = NswParams {
+            ef_construction: 0,
+            ..NswParams::default()
+        };
+        nsw(&random_dataset(20, 5), params);
     }
 }

@@ -43,7 +43,7 @@ impl Graph {
     /// directly, skipping the per-list sort + dedup of
     /// [`Graph::from_adjacency`]. The precondition is validated with a
     /// single linear scan (panicking on violation), so this is `O(E)`
-    /// instead of `O(E log E)`.
+    /// instead of `O(E log E)`: the check is [`Graph::try_from_csr`]'s.
     ///
     /// This is the checked public entry point for callers that already hold
     /// canonical lists (e.g. a deserialized index). The in-crate hot paths
@@ -51,25 +51,12 @@ impl Graph {
     /// [`Graph::without_edge`], [`Graph::union`]) go one step further and
     /// emit the CSR arrays without materializing per-vertex `Vec`s at all.
     pub fn from_sorted_adjacency(adj: Vec<Vec<u32>>) -> Self {
-        let n = adj.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for (v, list) in adj.into_iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for &t in &list {
-                assert!((t as usize) < n, "edge target {t} out of range (n = {n})");
-                assert!(t as usize != v, "self-loop ({v}, {t}) in sorted adjacency");
-                assert!(
-                    prev.is_none_or(|p| p < t),
-                    "adjacency of {v} not strictly ascending at target {t}"
-                );
-                prev = Some(t);
-            }
-            targets.extend_from_slice(&list);
-            offsets.push(targets.len());
-        }
-        Graph { offsets, targets }
+        let mut offsets = vec![0];
+        offsets.extend(adj.iter().scan(0, |end, list| {
+            *end += list.len();
+            Some(*end)
+        }));
+        Graph::try_from_csr(offsets, adj.concat()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Rebuilds a graph from raw CSR arrays, validating every invariant the
@@ -229,21 +216,11 @@ impl Graph {
             let (a, b) = (self.neighbors(v), other.neighbors(v));
             let (mut i, mut j) = (0, 0);
             while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => {
-                        targets.push(a[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        targets.push(b[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        targets.push(a[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
+                // The smaller head, once, advancing every list it heads.
+                let t = a[i].min(b[j]);
+                targets.push(t);
+                i += usize::from(a[i] == t);
+                j += usize::from(b[j] == t);
             }
             targets.extend_from_slice(&a[i..]);
             targets.extend_from_slice(&b[j..]);
@@ -301,6 +278,54 @@ impl Graph {
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.targets.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Read access to out-lists: all the routing procedures of
+/// [`crate::search`] need of a graph. Implemented by the immutable
+/// [`Graph`] and by the mutable per-vertex lists (`[Vec<u32>]`) that the
+/// insertion-built baselines grow, so builds and queries walk through the
+/// same code.
+pub trait Adjacency {
+    /// Number of vertices; ids are `0..n`.
+    fn n(&self) -> usize;
+
+    /// Out-neighbors of `v`.
+    fn neighbors(&self, v: u32) -> &[u32];
+}
+
+impl Adjacency for Graph {
+    #[inline]
+    fn n(&self) -> usize {
+        Graph::n(self)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        Graph::neighbors(self, v)
+    }
+}
+
+/// So a `&&Graph` (a graph borrowed from a collection) routes as before.
+impl<A: Adjacency + ?Sized> Adjacency for &A {
+    fn n(&self) -> usize {
+        (**self).n()
+    }
+
+    fn neighbors(&self, v: u32) -> &[u32] {
+        (**self).neighbors(v)
+    }
+}
+
+impl Adjacency for [Vec<u32>] {
+    #[inline]
+    fn n(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        &self[v as usize]
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 
 use pg_metric::{Dataset, Metric, Quantized};
 
-use crate::graph::Graph;
+use crate::graph::{Adjacency, Graph};
 
 /// The result of running [`greedy`] or [`query`].
 #[derive(Debug, Clone)]
@@ -38,9 +38,11 @@ pub struct GreedyOutcome {
 /// ```
 ///
 /// On a `(1+ε)`-proximity graph this always returns a `(1+ε)`-ANN of `q`
-/// (Fact 2.1), from **any** start vertex.
-pub fn greedy<P, M: Metric<P>>(
-    graph: &Graph,
+/// (Fact 2.1), from **any** start vertex. `graph` is any [`Adjacency`]: a
+/// built [`Graph`], or the lists an insertion-built index is still growing
+/// (HNSW's upper-layer descent runs here).
+pub fn greedy<G: Adjacency + ?Sized, P, M: Metric<P>>(
+    graph: &G,
     data: &Dataset<P, M>,
     p_start: u32,
     q: &P,
@@ -78,19 +80,17 @@ pub fn greedy<P, M: Metric<P>>(
 /// direct-distance walk except where rounded distances tie while the
 /// pre-rounding comparison does not, in which case the surrogate decision
 /// is the more accurate one.
-pub fn query<P, M: Metric<P>>(
-    graph: &Graph,
+pub fn query<G: Adjacency + ?Sized, P, M: Metric<P>>(
+    graph: &G,
     data: &Dataset<P, M>,
     p_start: u32,
     q: &P,
     budget: u64,
 ) -> GreedyOutcome {
     assert!((p_start as usize) < data.len(), "start vertex out of range");
-    let mut comps: u64 = 0;
     let mut cur = p_start;
     let mut hops = vec![cur];
-
-    comps += 1;
+    let mut comps: u64 = 1;
     let mut s_cur = data.surrogate_to(cur as usize, q);
 
     loop {
@@ -108,43 +108,24 @@ pub fn query<P, M: Metric<P>>(
                 best = Some((nb, s));
             }
         }
-        if truncated {
-            // Forced termination mid-scan: the partial scan cannot certify
-            // the closest out-neighbor, so the last hop vertex is returned
-            // as-is (see the budget semantics above).
-            return GreedyOutcome {
-                result: cur,
-                result_dist: data.dist_from_surrogate(s_cur),
-                hops,
-                dist_comps: comps,
-                self_terminated: false,
-            };
-        }
-        // Line 4.
         match best {
-            None => {
-                return GreedyOutcome {
-                    result: cur,
-                    result_dist: data.dist_from_surrogate(s_cur),
-                    hops,
-                    dist_comps: comps,
-                    self_terminated: true,
-                };
-            }
-            Some((_, s)) if s_cur <= s => {
-                return GreedyOutcome {
-                    result: cur,
-                    result_dist: data.dist_from_surrogate(s_cur),
-                    hops,
-                    dist_comps: comps,
-                    self_terminated: true,
-                };
-            }
-            Some((nb, s)) => {
-                // Line 5.
+            // Line 5, after a completed scan found an improvement.
+            Some((nb, s)) if !truncated && s < s_cur => {
                 cur = nb;
                 s_cur = s;
                 hops.push(cur);
+            }
+            // Line 4 — or a forced termination mid-scan: the partial scan
+            // cannot certify the closest out-neighbor, so the last hop
+            // vertex is returned as-is (see the budget semantics above).
+            _ => {
+                return GreedyOutcome {
+                    result: cur,
+                    result_dist: data.dist_from_surrogate(s_cur),
+                    hops,
+                    dist_comps: comps,
+                    self_terminated: !truncated,
+                };
             }
         }
     }
@@ -233,7 +214,7 @@ pub struct BeamSurrogate {
 
 impl BeamSurrogate {
     /// Sorts the results by `(surrogate, id)` and keeps the first `k`.
-    pub(crate) fn top(mut self, k: usize) -> Self {
+    pub fn top(mut self, k: usize) -> Self {
         self.results
             .sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         self.results.truncate(k);
@@ -241,7 +222,7 @@ impl BeamSurrogate {
     }
 
     /// Maps the surrogate keys to true distances with `data`'s metric.
-    pub(crate) fn into_outcome<P, M: Metric<P>>(mut self, data: &Dataset<P, M>) -> BeamOutcome {
+    pub fn into_outcome<P, M: Metric<P>>(mut self, data: &Dataset<P, M>) -> BeamOutcome {
         for e in &mut self.results {
             e.1 = data.dist_from_surrogate(e.1);
         }
@@ -279,7 +260,7 @@ pub fn beam_search_surrogate<P, M: Metric<P>>(
     k: usize,
 ) -> BeamSurrogate {
     SearchScratch::default()
-        .best_first(graph, p_start, ef, |v| data.surrogate_to(v as usize, q))
+        .best_first(graph, &[p_start], ef, |v| data.surrogate_to(v as usize, q))
         .top(k)
 }
 
@@ -392,7 +373,8 @@ impl Ord for Cand {
 
 /// The working memory of a best-first search — visited marks, the list of
 /// vertices marked, and the two heaps — owned by the caller so a batch
-/// reuses it across queries (one per pool worker).
+/// reuses it across queries (one per pool worker) and an insertion-built
+/// index reuses it across all of its insertions.
 ///
 /// A search starts by clearing only the marks the previous one set, by
 /// walking the touched list: O(vertices touched), not O(n). The marks grow
@@ -401,7 +383,7 @@ impl Ord for Cand {
 /// first search, as a per-call `vec![false; n]` would.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    visited: Vec<bool>,
+    marks: Vec<bool>,
     touched: Vec<u32>,
     frontier: BinaryHeap<Reverse<Cand>>,
     results: BinaryHeap<Cand>,
@@ -428,12 +410,12 @@ impl SearchScratch {
         let walk = match data.contiguous_rows() {
             Some((rows, d)) => {
                 let (metric, q) = (data.metric(), q.as_ref());
-                self.best_first(graph, p_start, ef, |v| {
+                self.best_first(graph, &[p_start], ef, |v| {
                     let at = v as usize * d;
                     metric.surrogate(&rows[at..at + d], q)
                 })
             }
-            None => self.best_first(graph, p_start, ef, |v| data.surrogate_to(v as usize, q)),
+            None => self.best_first(graph, &[p_start], ef, |v| data.surrogate_to(v as usize, q)),
         };
         walk.top(k)
     }
@@ -462,7 +444,9 @@ impl SearchScratch {
             "compact store and dataset must describe the same points"
         );
         let pq = compact.prepare(q.as_ref());
-        let mut walk = self.best_first(graph, p_start, ef, |v| compact.surrogate(v as usize, &pq));
+        let mut walk = self.best_first(graph, &[p_start], ef, |v| {
+            compact.surrogate(v as usize, &pq)
+        });
         // Exact re-rank of the full candidate set: one full-precision
         // surrogate per candidate, counted like any other distance
         // computation.
@@ -480,45 +464,59 @@ impl SearchScratch {
         }
     }
 
-    /// The one best-first loop every beam search runs: a width-`ef`
-    /// frontier from `p_start`, comparing the surrogate keys `dist(v)`
-    /// returns, one call per newly visited vertex. Returns the best `ef`
-    /// candidates seen, unsorted, with the walk's accounting.
-    fn best_first(
+    /// The one best-first loop every beam search runs, queries and
+    /// insertion-built index construction alike: a width-`ef` frontier from
+    /// the `seeds` (several for HNSW's per-layer entry set), comparing the
+    /// surrogate keys `dist(v)` returns, one call per newly visited vertex.
+    /// Returns the best `ef` candidates seen, unsorted, with the walk's
+    /// accounting; [`SearchScratch::visited`] then lists every vertex the
+    /// walk evaluated.
+    ///
+    /// # Panics
+    /// If `ef == 0`, or a seed is not a vertex of `graph`.
+    pub fn best_first<G: Adjacency + ?Sized>(
         &mut self,
-        graph: &Graph,
-        p_start: u32,
+        graph: &G,
+        seeds: &[u32],
         ef: usize,
         mut dist: impl FnMut(u32) -> f64,
     ) -> BeamSurrogate {
-        assert!(ef >= 1);
+        assert!(ef >= 1, "beam width ef must be at least 1");
         let SearchScratch {
-            visited,
+            marks,
             touched,
             frontier,
             results,
         } = self;
         for v in touched.drain(..) {
-            visited[v as usize] = false;
+            marks[v as usize] = false;
         }
-        if visited.len() < graph.n() {
-            visited.resize(graph.n(), false);
+        if marks.len() < graph.n() {
+            marks.resize(graph.n(), false);
         }
         frontier.clear();
         results.clear();
 
-        visited[p_start as usize] = true;
-        touched.push(p_start);
-        let mut comps: u64 = 1;
-        let mut expansions: u64 = 0;
-        let d0 = dist(p_start);
-
         // `frontier`: min-heap of candidates to expand; `results`: max-heap of
         // the best `ef` seen. `worst` mirrors `results.peek()` and is refreshed
         // only when the heap changes, instead of re-peeking per neighbor.
-        frontier.push(Reverse(Cand(d0, p_start)));
-        results.push(Cand(d0, p_start));
-        let mut worst = d0;
+        let mut comps: u64 = 0;
+        for &s in seeds {
+            if marks[s as usize] {
+                continue;
+            }
+            marks[s as usize] = true;
+            touched.push(s);
+            comps += 1;
+            let d = dist(s);
+            frontier.push(Reverse(Cand(d, s)));
+            results.push(Cand(d, s));
+            if results.len() > ef {
+                results.pop();
+            }
+        }
+        let mut worst = results.peek().map(|c| c.0).unwrap_or(f64::INFINITY);
+        let mut expansions: u64 = 0;
 
         while let Some(Reverse(Cand(d, v))) = frontier.pop() {
             if results.len() >= ef && d > worst {
@@ -526,10 +524,10 @@ impl SearchScratch {
             }
             expansions += 1;
             for &nb in graph.neighbors(v) {
-                if visited[nb as usize] {
+                if marks[nb as usize] {
                     continue;
                 }
-                visited[nb as usize] = true;
+                marks[nb as usize] = true;
                 touched.push(nb);
                 comps += 1;
                 let dn = dist(nb);
@@ -548,6 +546,13 @@ impl SearchScratch {
             dist_comps: comps,
             expansions,
         }
+    }
+
+    /// The vertices the last [`SearchScratch::best_first`] walk evaluated,
+    /// in the order it first reached them (seeds first): one entry per
+    /// distance computed. This is Vamana's candidate pool.
+    pub fn visited(&self) -> &[u32] {
+        &self.touched
     }
 }
 
