@@ -18,6 +18,8 @@
 //! provided [`SweepSearch::search_batch`] shards a query set across the
 //! thread pool with the order-preserving parallel map, so every adapter is
 //! batch-sweepable and **thread-count invariant** by construction.
+//! [`GraphIndex`] and [`Hnsw`](crate::Hnsw) override it to hold one
+//! reusable [`SearchScratch`] per worker, as [`QueryEngine`] does.
 //! [`EngineIndex`] additionally routes batches through
 //! [`QueryEngine::batch_beam_detailed`] — the same engine path the serving
 //! system uses — with the engine built **once**, so timed sweeps measure
@@ -56,7 +58,9 @@
 //! assert!(approx.results[0].1 >= exact.results[0].1);
 //! ```
 
-use pg_core::{beam_search_detailed, beam_search_quantized, BeamOutcome, Graph, QueryEngine};
+use pg_core::{
+    beam_search_detailed, beam_search_quantized, BeamOutcome, Graph, QueryEngine, SearchScratch,
+};
 use pg_metric::{CompactPoints, Dataset, Metric, QuantKind};
 
 /// One batched top-`k` search interface over every index family — see the
@@ -90,8 +94,8 @@ pub trait SweepSearch<P: Sync, M: Metric<P> + Sync>: Sync {
 
 /// Adapter for any plain [`Graph`] index (`G_net`, θ-graph, merged graph,
 /// Vamana, NSW, slow-preprocessing DiskANN): routes queries with
-/// [`pg_core::beam_search`] from a fixed entry vertex, batching via the
-/// default order-preserving parallel map. The graph must have been built
+/// [`pg_core::beam_search`] from a fixed entry vertex, batching on one
+/// reusable [`SearchScratch`] per worker. The graph must have been built
 /// over the dataset passed to the search methods (the same implicit
 /// contract every routing call in the workspace has).
 ///
@@ -129,6 +133,40 @@ impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for GraphIndex {
     fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
         beam_search_detailed(&self.graph, data, self.entry, q, ef, k)
     }
+
+    /// The same walk as [`GraphIndex::search_one`] per query, on one
+    /// reusable [`SearchScratch`] per worker.
+    fn search_batch(
+        &self,
+        data: &Dataset<P, M>,
+        queries: &[P],
+        ef: usize,
+        k: usize,
+    ) -> Vec<BeamOutcome> {
+        per_worker_scratch(queries, |scratch, q| {
+            scratch
+                .best_first(&self.graph, &[self.entry], ef, |v| {
+                    data.surrogate_to(v as usize, q)
+                })
+                .top(k)
+                .into_outcome(data)
+        })
+    }
+}
+
+/// Maps `search` over `queries` on the thread pool, order-preserving, with
+/// one [`SearchScratch`] per worker reused across its queries — the batch
+/// shape of `QueryEngine`'s own paths.
+fn per_worker_scratch<P: Sync>(
+    queries: &[P],
+    search: impl Fn(&mut SearchScratch, &P) -> BeamOutcome + Sync,
+) -> Vec<BeamOutcome> {
+    rayon::par_map_indexed_init_with(
+        rayon::current_num_threads(),
+        queries,
+        SearchScratch::default,
+        |scratch, _, q| search(scratch, q),
+    )
 }
 
 /// Adapter that owns a ready-to-serve [`QueryEngine`] — the batch path for
@@ -310,6 +348,20 @@ impl<P: Sync, M: Metric<P> + Sync> SweepSearch<P, M> for crate::Hnsw {
     fn search_one(&self, data: &Dataset<P, M>, q: &P, ef: usize, k: usize) -> BeamOutcome {
         self.search_detailed(data, q, ef, k)
     }
+
+    /// [`Hnsw::search_detailed_with`](crate::Hnsw::search_detailed_with)
+    /// per query, on one reusable [`SearchScratch`] per worker.
+    fn search_batch(
+        &self,
+        data: &Dataset<P, M>,
+        queries: &[P],
+        ef: usize,
+        k: usize,
+    ) -> Vec<BeamOutcome> {
+        per_worker_scratch(queries, |scratch, q| {
+            self.search_detailed_with(scratch, data, q, ef, k)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -401,6 +453,36 @@ mod tests {
             engined.search_one(&ds, &queries[0], 9, 2),
             plain.search_one(&ds, &queries[0], 9, 2)
         );
+    }
+
+    #[test]
+    fn scratch_reusing_batches_equal_search_one_at_1_2_and_7_threads() {
+        let ds = random_dataset(260, 15);
+        let queries = random_queries(40, 16);
+        let hnsw = Hnsw::build(&ds, HnswParams::default());
+        let graph = GraphIndex::new(GNet::build(&ds, 1.0).graph).with_entry(7);
+        // Several widths, so one worker's scratch serves walks of
+        // different sizes back to back.
+        for (ef, k) in [(1, 1), (12, 3), (40, 10)] {
+            let solo_hnsw: Vec<BeamOutcome> = queries
+                .iter()
+                .map(|q| SweepSearch::<FlatRow, Euclidean>::search_one(&hnsw, &ds, q, ef, k))
+                .collect();
+            let solo_graph: Vec<BeamOutcome> = queries
+                .iter()
+                .map(|q| graph.search_one(&ds, q, ef, k))
+                .collect();
+            for threads in [1, 2, 7] {
+                let (h, g) = rayon::with_threads(threads, || {
+                    (
+                        hnsw.search_batch(&ds, &queries, ef, k),
+                        graph.search_batch(&ds, &queries, ef, k),
+                    )
+                });
+                assert_eq!(h, solo_hnsw, "HNSW ef = {ef} at {threads} threads");
+                assert_eq!(g, solo_graph, "graph ef = {ef} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -211,6 +211,20 @@ impl Hnsw {
         ef: usize,
         k: usize,
     ) -> BeamOutcome {
+        self.search_detailed_with(&mut SearchScratch::default(), data, q, ef, k)
+    }
+
+    /// [`Hnsw::search_detailed`] on a caller-owned [`SearchScratch`], with
+    /// identical results and accounting: a batch holds one scratch per
+    /// worker instead of sizing a fresh visited array for every query.
+    pub fn search_detailed_with<P, M: Metric<P>>(
+        &self,
+        scratch: &mut SearchScratch,
+        data: &Dataset<P, M>,
+        q: &P,
+        ef: usize,
+        k: usize,
+    ) -> BeamOutcome {
         let (mut comps, mut expansions) = (0, 0);
         let mut cur = self.entry;
         for layer in self.layers[1..].iter().rev() {
@@ -219,7 +233,7 @@ impl Hnsw {
             expansions += walk.hops.len() as u64;
             cur = walk.result;
         }
-        let mut out = SearchScratch::default()
+        let mut out = scratch
             .best_first(&self.layers[0][..], &[cur], ef.max(k).max(1), |v| {
                 data.surrogate_to(v as usize, q)
             })

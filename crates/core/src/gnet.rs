@@ -70,7 +70,8 @@ fn fast_edges<P: Sync, M: Metric<P> + Sync>(
             .get(level_idx + 1)
             .map_or(0, |up| up.len());
         let rel = cascade.relatives();
-        let reach = params.phi * lvl.radius;
+        // `D(p, y) <= φ r` exactly when the surrogate is `<= bound`.
+        let bound = data.surrogate_bound(params.phi * lvl.radius);
         let per_point = rayon::par_map_range(n, |p| {
             let cpos = lvl.cover[p] as usize;
             let mut targets = Vec::new();
@@ -79,7 +80,7 @@ fn fast_edges<P: Sync, M: Metric<P> + Sync>(
                     continue;
                 }
                 let y = lvl.centers[ypos as usize];
-                if y != p as u32 && data.dist(p, y as usize) <= reach {
+                if y != p as u32 && data.surrogate_within(p, y as usize, bound) <= bound {
                     targets.push(y);
                 }
             }

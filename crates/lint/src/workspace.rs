@@ -23,12 +23,21 @@ pub const NO_PANIC_PATHS: &[&str] = &[
 /// silently undo the PR 3 squared-space optimization. The quantized
 /// compare path (PR 10) lives in `search.rs`/`engine.rs` and the compact
 /// kernels in `metric/quant.rs`; the reorder pass must stay distance-free.
+///
+/// The relatives step of `G_net` construction (`nets/cascade.rs`) answers
+/// every "within reach?" test against an exact surrogate cut-off, so it is
+/// listed too. `nets/hierarchy.rs` and `core/gnet.rs` are not: their cover
+/// loop and edge scan are bounded the same way, but `NetHierarchy::validate`
+/// and the naive and cover-tree `G_net` builders stay on plain `dist` on
+/// purpose — they are the independent oracles the fast path is checked
+/// against.
 pub const SURROGATE_PATHS: &[&str] = &[
     "crates/core/src/search.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/sharded.rs",
     "crates/core/src/reorder.rs",
     "crates/metric/src/quant.rs",
+    "crates/nets/src/cascade.rs",
 ];
 
 /// Crates exempt from `no-nondeterminism`: the benchmark harness and the

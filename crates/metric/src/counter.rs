@@ -106,6 +106,22 @@ impl<P: ?Sized, M: Metric<P>> Metric<P> for Counting<M> {
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         self.inner.dist_from_surrogate(s)
     }
+
+    /// Pure float transforms — **not** counted.
+    #[inline]
+    fn surrogate_bound(&self, r: f64) -> f64 {
+        self.inner.surrogate_bound(r)
+    }
+
+    /// Counts exactly one distance computation per call, whether or not the
+    /// inner kernel stops early: the cost model counts the threshold test
+    /// `surrogate(a, b) <= bound` it answers, so a construction that moves
+    /// to bounded tests keeps its `dist_comps` total.
+    #[inline]
+    fn surrogate_within(&self, a: &P, b: &P, bound: f64) -> f64 {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.inner.surrogate_within(a, b, bound)
+    }
 }
 
 #[cfg(test)]

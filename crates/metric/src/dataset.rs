@@ -165,6 +165,23 @@ impl<P, M: Metric<P>> Dataset<P, M> {
         self.metric.dist_from_surrogate(s)
     }
 
+    /// The exact surrogate cut-off of the distance threshold `r` (pure
+    /// float transforms, not counted); see [`Metric::surrogate_bound`].
+    pub fn surrogate_bound(&self, r: f64) -> f64 {
+        self.metric.surrogate_bound(r)
+    }
+
+    /// Threshold test between data points `i` and `j` that may stop early:
+    /// the exact surrogate when it is `<= bound`, otherwise some value
+    /// `> bound` — see [`Metric::surrogate_within`]. With `bound =
+    /// surrogate_bound(r)`, `surrogate_within(i, j, bound) <= bound` is
+    /// exactly `dist(i, j) <= r`. Counts as one distance computation.
+    #[inline]
+    pub fn surrogate_within(&self, i: usize, j: usize, bound: f64) -> f64 {
+        self.metric
+            .surrogate_within(&self.points[i], &self.points[j], bound)
+    }
+
     /// Exact nearest neighbor of `q` by brute force: returns `(id, dist)`.
     /// Scans in surrogate space (no `sqrt` per candidate under `L_2`).
     pub fn nearest_brute(&self, q: &P) -> (usize, f64) {

@@ -14,7 +14,11 @@
 //! lanes** plus a scalar remainder, which breaks the loop-carried dependency
 //! chain of the naive loop (the add/max latency, not throughput, bounds the
 //! naive loop) and lets LLVM auto-vectorize without any target-feature gates
-//! or external dependencies. The `*_scalar` variants
+//! or external dependencies. [`l2_squared_within`] is the same loop as a
+//! threshold test that may stop early (construction asks "within reach?"
+//! far more often than "how far?"); both instantiate one generic lane
+//! helper, so the search path's [`l2_squared`] carries no check. The
+//! `*_scalar` variants
 //! keep the original single-accumulator loops as a reference: the unit tests
 //! pin the unrolled kernels against them (exactly on integer-valued inputs,
 //! to relative `1e-12` otherwise — only the summation *order* differs), and
@@ -49,16 +53,52 @@ pub struct Manhattan;
 /// Eight-lane unrolled; see the module docs.
 #[inline]
 pub fn l2_squared(a: &[f64], b: &[f64]) -> f64 {
+    l2_squared_lanes::<false>(a, b, f64::INFINITY)
+}
+
+/// [`l2_squared`] as a threshold test that may stop early: the exact
+/// squared distance when it is `<= bound` (bit-identical to
+/// [`l2_squared`]), otherwise some value `> bound`.
+///
+/// After every [`EARLY_EXIT_STRIDE`] coordinates the eight lanes are
+/// combined exactly as the final sum combines them; once that partial sum
+/// exceeds `bound` the call returns it. Every term is a non-negative
+/// square and `f64` addition is monotone, so no partial sum exceeds the
+/// final one and an early return never changes the answer of `<= bound`.
+#[inline]
+pub fn l2_squared_within(a: &[f64], b: &[f64], bound: f64) -> f64 {
+    l2_squared_lanes::<true>(a, b, bound)
+}
+
+/// Coordinates between two early-exit checks of [`l2_squared_within`]: two
+/// eight-lane chunks; at `d < 16` no check fires at all. A check costs
+/// seven additions and a branch. Building `G_net` on a 10⁴-point,
+/// 128-dimensional swiss roll (two threads, 2-vCPU host), a stride of 8
+/// was slightly slower than 16 and a stride of 32 about 1.5× slower.
+pub const EARLY_EXIT_STRIDE: usize = 16;
+
+/// The one eight-lane squared-difference loop behind [`l2_squared`]
+/// (`BOUNDED = false`: no check is compiled in) and [`l2_squared_within`].
+#[inline(always)]
+fn l2_squared_lanes<const BOUNDED: bool>(a: &[f64], b: &[f64], bound: f64) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
+    let lanes_sum =
+        |s: &[f64; 8]| ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
     let mut ca = a.chunks_exact(8);
     let mut cb = b.chunks_exact(8);
     let mut s = [0.0f64; 8];
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
+    for (chunk, (xa, xb)) in ca.by_ref().zip(cb.by_ref()).enumerate() {
         // Fixed-size views: no per-lane bounds checks, clean vector lowering.
         let (xa, xb): (&[f64; 8], &[f64; 8]) = (xa.try_into().unwrap(), xb.try_into().unwrap());
         for l in 0..8 {
             let d = xa[l] - xb[l];
             s[l] += d * d;
+        }
+        if BOUNDED && (chunk + 1) % (EARLY_EXIT_STRIDE / 8) == 0 {
+            let partial = lanes_sum(&s);
+            if partial > bound {
+                return partial;
+            }
         }
     }
     let mut tail = 0.0;
@@ -66,7 +106,7 @@ pub fn l2_squared(a: &[f64], b: &[f64]) -> f64 {
         let d = x - y;
         tail += d * d;
     }
-    (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) + tail
+    lanes_sum(&s) + tail
 }
 
 /// Euclidean distance on raw slices: `sqrt` of [`l2_squared`].
@@ -176,6 +216,12 @@ impl<P: AsRef<[f64]> + ?Sized> Metric<P> for Euclidean {
     #[inline]
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         s.sqrt()
+    }
+
+    /// The early-exit kernel [`l2_squared_within`].
+    #[inline]
+    fn surrogate_within(&self, a: &P, b: &P, bound: f64) -> f64 {
+        l2_squared_within(a.as_ref(), b.as_ref(), bound)
     }
 }
 

@@ -56,6 +56,58 @@ pub trait Metric<P: ?Sized> {
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         s
     }
+
+    /// The exact surrogate cut-off of the distance threshold `r`: the
+    /// largest surrogate `s` with `dist_from_surrogate(s) <= r`, so that
+    /// `surrogate(a, b) <= surrogate_bound(r)` holds **exactly** when
+    /// `dist(a, b) <= r` — including where the map back rounds (distinct
+    /// squared distances whose `sqrt` lands on `r`). Returns `-∞` when no
+    /// surrogate qualifies (e.g. `r < 0` or NaN) and `+∞` when every one
+    /// does.
+    ///
+    /// The default bisects the bit patterns of the non-negative `f64`s
+    /// (ordered like their values) over `dist_from_surrogate`: at most 64
+    /// float transforms, no distance computation, so a caller pays it once
+    /// per threshold rather than once per pair. It is exact for every
+    /// metric whose `dist_from_surrogate` is monotone non-decreasing, as
+    /// the contract above requires, so no metric needs to override it.
+    fn surrogate_bound(&self, r: f64) -> f64 {
+        const INF: u64 = f64::INFINITY.to_bits();
+        let within = |bits: u64| self.dist_from_surrogate(f64::from_bits(bits)) <= r;
+        if !within(0) {
+            return f64::NEG_INFINITY;
+        }
+        if within(INF) {
+            return f64::INFINITY;
+        }
+        // Invariant: `lo` qualifies, `hi` does not.
+        let (mut lo, mut hi) = (0, INF);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if within(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        f64::from_bits(lo)
+    }
+
+    /// A threshold test in surrogate space that may stop early: returns the
+    /// exact [`surrogate`](Metric::surrogate) when it is `<= bound`, and
+    /// otherwise some value `> bound` (not necessarily the surrogate). With
+    /// `bound = surrogate_bound(r)`, `surrogate_within(a, b, bound) <=
+    /// bound` is therefore exactly `dist(a, b) <= r`.
+    ///
+    /// One call counts as one distance computation, like `surrogate`, even
+    /// when it stops early. The default is `surrogate` itself; Euclidean
+    /// overrides it with a kernel that stops once a partial sum of squares
+    /// already exceeds `bound`.
+    #[inline]
+    fn surrogate_within(&self, a: &P, b: &P, bound: f64) -> f64 {
+        let _ = bound;
+        self.surrogate(a, b)
+    }
 }
 
 impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
@@ -72,6 +124,16 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     #[inline]
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         (**self).dist_from_surrogate(s)
+    }
+
+    #[inline]
+    fn surrogate_bound(&self, r: f64) -> f64 {
+        (**self).surrogate_bound(r)
+    }
+
+    #[inline]
+    fn surrogate_within(&self, a: &P, b: &P, bound: f64) -> f64 {
+        (**self).surrogate_within(a, b, bound)
     }
 }
 

@@ -64,6 +64,15 @@ impl<P: ?Sized, M: Metric<P>> Metric<P> for Scaled<M> {
     fn dist_from_surrogate(&self, s: f64) -> f64 {
         self.factor * self.inner.dist_from_surrogate(s)
     }
+
+    /// Surrogates are unscaled, so the inner early-exit test applies as is.
+    /// (`surrogate_bound` keeps the default bisection over the *scaled* map
+    /// back: the inner bound at `r / factor` would miss where the product
+    /// rounds.)
+    #[inline]
+    fn surrogate_within(&self, a: &P, b: &P, bound: f64) -> f64 {
+        self.inner.surrogate_within(a, b, bound)
+    }
 }
 
 #[cfg(test)]

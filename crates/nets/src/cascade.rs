@@ -101,6 +101,11 @@ impl<'h, 'd, P: Sync, M: Metric<P> + Sync> RelativesCascade<'h, 'd, P, M> {
 /// invariant). Each list depends only on the immutable inputs, so the
 /// centers are mapped in parallel with the order-preserving
 /// `par_map_range`: the output is bit-identical at every thread count.
+///
+/// Each candidate test is `D(y, z) <= reach` asked in surrogate space
+/// against the exact cut-off `surrogate_bound(reach)`, through the
+/// early-exit `surrogate_within`: the same answers and the same count as
+/// comparing full distances, with less coordinate work per rejection.
 pub(crate) fn relatives_step<P: Sync, M: Metric<P> + Sync>(
     data: &Dataset<P, M>,
     below: &NetLevel,
@@ -108,7 +113,10 @@ pub(crate) fn relatives_step<P: Sync, M: Metric<P> + Sync>(
     rel_above: &[Vec<u32>],
     reach: f64,
 ) -> Vec<Vec<u32>> {
-    let within = |y: usize, pos: u32| data.dist(y, below.centers[pos as usize] as usize) <= reach;
+    let bound = data.surrogate_bound(reach);
+    let within = |y: usize, pos: u32| {
+        data.surrogate_within(y, below.centers[pos as usize] as usize, bound) <= bound
+    };
     rayon::par_map_range(below.len(), |pos| {
         let y = below.centers[pos] as usize;
         let mut list = Vec::new();

@@ -137,6 +137,8 @@ impl NetHierarchy {
             );
             let cur = levels_topdown.last().unwrap();
             let r_next = cur.radius / 2.0;
+            // `D(p, c) <= r_next` exactly when the surrogate is `<= t_next`.
+            let t_next = data.surrogate_bound(r_next);
 
             // Carried-over centers keep their positions (position invariant).
             let mut centers = cur.centers.clone();
@@ -155,19 +157,26 @@ impl NetHierarchy {
                 // children. Completeness: any center z with D(p, z) <= r_next
                 // has a parent within r_next + 2*r_next of p, hence within
                 // (3 + 2) * r_next = 2.5 * r_cur <= 4 * r_cur of cpos.
+                //
+                // A candidate is tested against t_next with the early-exit
+                // kernel; only an accepted one is mapped back to its true
+                // distance, and the nearest is chosen in distance space so
+                // rounded-distance ties go to the first candidate.
                 let mut best: Option<(f64, u32)> = None;
-                for &f in &friends[cpos] {
-                    let old_pid = cur.centers[f as usize];
-                    let d = data.dist(p as usize, old_pid as usize);
-                    if d <= r_next && best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, f)); // old center keeps position f
-                    }
-                    for &np in &new_by_parent[f as usize] {
-                        let new_pid = centers[np as usize];
-                        let d = data.dist(p as usize, new_pid as usize);
-                        if d <= r_next && best.is_none_or(|(bd, _)| d < bd) {
-                            best = Some((d, np));
+                let mut offer = |pid: u32, pos: u32| {
+                    let sq = data.surrogate_within(p as usize, pid as usize, t_next);
+                    if sq <= t_next {
+                        let d = data.dist_from_surrogate(sq);
+                        if best.is_none_or(|(bd, _)| d < bd) {
+                            best = Some((d, pos));
                         }
+                    }
+                };
+                for &f in &friends[cpos] {
+                    // An old center keeps its position f.
+                    offer(cur.centers[f as usize], f);
+                    for &np in &new_by_parent[f as usize] {
+                        offer(centers[np as usize], np);
                     }
                 }
                 match best {
